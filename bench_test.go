@@ -239,36 +239,6 @@ func BenchmarkAblationRingChecks(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStackLocking compares the enclave stack's fine-grained
-// locking against the original LWIP global lock under a multi-threaded
-// UDP workload (§4.2 implementation note).
-func BenchmarkAblationStackLocking(b *testing.B) {
-	for _, global := range []bool{false, true} {
-		name := "sharded"
-		if global {
-			name = "global-lock"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				w := benchWorld(b, experiments.Options{
-					Env: experiments.RakisSGX, NumXSKs: 4, ServerQueues: 8,
-					GlobalLockStack: global,
-				})
-				res, err := workloads.Memcached(w.WorkloadEnv(), workloads.MemcachedParams{
-					ServerThreads: 4, Ops: 1200,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res.OpsPerSec / 1e3
-				w.Close()
-			}
-			b.ReportMetric(last, "virt-kops")
-		})
-	}
-}
-
 // BenchmarkAblationXSKCount shows the multi-queue scaling the Memcached
 // experiment depends on: one XSK versus four.
 func BenchmarkAblationXSKCount(b *testing.B) {

@@ -14,10 +14,17 @@
 #                        fire on their testdata fixtures and stay clean
 #                        on the production tree
 #   4. go vet          — toolchain static checks
-#   5. go test ./...   — unit + integration + property tests
-#   6. go test -race   — FM/ring protocol under the race detector (see
-#                        race_on_test.go for why this pass is load-bearing),
-#                        shuffled so test-order coupling cannot hide
+#   5. go test ./...   — unit + integration + property tests, once: the
+#                        differential suites (batched, zero-copy, shard
+#                        affinity, proxied-vs-XSK TCP), the figure gates,
+#                        the tuner suite and the chaos matrix all run
+#                        here and are not re-run by name below
+#   6. go test -race   — every internal package under the race detector
+#                        (see race_on_test.go for why this pass is
+#                        load-bearing), shuffled so test-order coupling
+#                        cannot hide: the FM/ring protocol, the sharded
+#                        demux and TCP shard suites, the sm TX path, the
+#                        differentials and the SYN-flood gate
 #   7. fuzz smoke      — 30 s over the committed netstack seed corpus
 #                        (internal/netstack/testdata/fuzz), the §5.2-style
 #                        hostile-frame campaign, plus 30 s aimed at the
@@ -25,55 +32,21 @@
 #                        30 s at the TCP segment ingest (FuzzInputTCP,
 #                        seeded with the hostile-handshake corpus)
 #   8. chaos smoke     — rakis-chaos -profile smoke: every workload under
-#                        fault injection (see DESIGN.md, "Chaos testing")
+#                        fault injection (see DESIGN.md, "Chaos testing");
+#                        then -profile faketel: a hostile host steering
+#                        the tuner's inputs must not push it out of its
+#                        envelope or flap the mode (see DESIGN.md,
+#                        "Self-tuning runtime")
 #   9. trace smoke     — rakis-trace: one instrumented cell per trust
 #                        model; fails on any accounting violation (the
 #                        telemetry conservation invariant, see DESIGN.md,
 #                        "Telemetry")
-#  10. batched path    — the batched-fast-path differential suite and the
-#                        exit-amortization regression guard under -race:
-#                        batched and scalar I/O must differ in cost only
-#                        (see DESIGN.md, "Batched fast path")
-#  11. zero-copy path  — the zero-copy differential suite under -race:
-#                        the in-place RX/splice datapath and the legacy
-#                        copying path must agree on every observable
-#                        (streams, refusals, packet accounting); plus the
-#                        no-waiver gate — the RX-path packages carry no
+#  10. no-waiver gate  — the RX-path packages carry no
 #                        //rakis:singleread-ok escape hatches, so the
 #                        doublefetch analyzer's pass in step 2 covers
 #                        every in-place reader (see DESIGN.md,
 #                        "Zero-copy datapath")
-#  12. adaptive path   — the self-tuning runtime under -race: the tuner
-#                        convergence suite plus the adaptive smoke (the
-#                        tuner steps under load, never leaves its safety
-#                        envelope, and matches the narrow static's
-#                        exits/op floor); then the faketel chaos profile —
-#                        a hostile host steering the tuner's inputs must
-#                        not push it out of the envelope or flap the mode
-#                        (see DESIGN.md, "Self-tuning runtime")
-#  13. sharded path    — the sharded data path: the demux suite under
-#                        -race (widths 1..64, rebind, cross-shard port
-#                        collision, bind/close/recv churn), the
-#                        flow-affinity differential (affine TX vs the
-#                        round-robin ablation must be stream-identical),
-#                        and the shardq quarantine scenario — a host
-#                        denying one queue of a four-shard world must
-#                        confine refusals to that shard while every
-#                        healthy shard's flows complete (see DESIGN.md,
-#                        "Sharded data path")
-#  14. xsk-tcp path    — the in-enclave TCP battery: the TCP shard suite
-#                        under -race (concurrent accept/close/rebind at
-#                        widths 1..64, cross-shard port collisions,
-#                        retransmit-vs-close races, hostile-scribble
-#                        refusal), the proxied-vs-XSK differential
-#                        (byte-identical streams and exact refusal/ring
-#                        accounting at widths 1..64, incl. completion-safe
-#                        chaos profiles), the SYN-flood gate under -race
-#                        (stateless cookies, bounded memory, 100% healthy
-#                        delivery), and the figure gate (zero steady-state
-#                        exits at ≥1.5x proxied throughput; see DESIGN.md,
-#                        "In-enclave TCP")
-#  15. bench JSON      — rakis-bench -json: the Figure 2 rows plus the
+#  11. bench JSON      — rakis-bench -json: the Figure 2 rows plus the
 #                        batched-vs-scalar, zero-copy, adaptive, shards,
 #                        and tcp rows in the stable rakis-bench/v1 layout
 #                        (BENCH_figs.json)
@@ -112,38 +85,19 @@ go test -run='^$' -fuzz='^FuzzInputTCP$' -fuzztime=30s -fuzzminimizetime=10x ./i
 echo "==> rakis-chaos -profile smoke"
 go run ./cmd/rakis-chaos -profile smoke
 
+echo "==> rakis-chaos -profile faketel (tuner safety under a hostile host)"
+go run ./cmd/rakis-chaos -profile faketel
+
 echo "==> rakis-trace smoke (conservation gate)"
 go run ./cmd/rakis-trace -workload iperf -env rakis-sgx > /dev/null
 go run ./cmd/rakis-trace -workload fstime -env gramine-sgx > /dev/null
 
-echo "==> batched fast path: differential + exit-amortization guard (-race)"
-go test -race -run 'TestBatchDifferential|TestBatchExitAmortization' ./internal/experiments/
-
-echo "==> zero-copy path: differential suite (-race) + no-waiver gate"
-go test -race -run 'TestZerocopyDifferential|TestZerocopyProxySplice' ./internal/experiments/
+echo "==> no-waiver gate: no //rakis:singleread-ok on the RX path"
 if grep -rn 'rakis:singleread-ok' --include='*.go' \
     internal/mem internal/umem internal/xsk internal/netstack internal/fm internal/sm; then
 	echo "ci: unexpected //rakis:singleread-ok waiver on the RX path" >&2
 	exit 1
 fi
-
-echo "==> self-tuning runtime: tuner convergence + adaptive smoke (-race)"
-go test -race ./internal/tuner/
-go test -race -run 'TestAdaptiveSmoke' ./internal/experiments/
-
-echo "==> rakis-chaos -profile faketel (tuner safety under a hostile host)"
-go run ./cmd/rakis-chaos -profile faketel
-
-echo "==> sharded data path: demux (-race) + affinity differential + quarantine"
-go test -race -run 'TestShard' ./internal/netstack/
-go test -race -run 'TestShardAffinityDifferential' ./internal/experiments/
-go test -run 'TestShardQuarantine' ./internal/chaos/harness/
-
-echo "==> in-enclave TCP: shard suite (-race) + differential + synflood gate (-race) + figure gate"
-go test -race -run 'TestTCPShard|TestTCPViewScribble' ./internal/netstack/
-go test -run 'TestTCPDifferential' ./internal/experiments/
-go test -race -run 'TestSynFlood' ./internal/chaos/harness/
-go test -run 'TestTCPFigureGate' ./internal/experiments/
 
 echo "==> rakis-bench -fig 2,batch,zerocopy,adaptive,shards,tcp -json BENCH_figs.json"
 go run ./cmd/rakis-bench -fig 2,batch,zerocopy,adaptive,shards,tcp -scale 0.05 -json BENCH_figs.json > /dev/null

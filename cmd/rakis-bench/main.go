@@ -44,9 +44,9 @@ func main() {
 		{"5b", "Figure 5(b): Redis throughput normalized to Native", experiments.Fig5bRedis},
 		{"5c", "Figure 5(c): MCrypt encryption time vs read block size", experiments.Fig5cMcrypt},
 		{"batch", "Batched fast path: enclave exits per datagram vs vector width", experiments.FigBatch},
-		{"zerocopy", "Zero-copy datapath: copy cycles per datagram, copying vs in-place RX", experiments.FigZerocopy},
+		{"zerocopy", "Zero-copy datapath: copy cycles per datagram on the in-place RX path", experiments.FigZerocopy},
 		{"adaptive", "Self-tuning runtime: latency-vs-cycles frontier, adaptive vs static", experiments.FigAdaptive},
-		{"shards", "Sharded scale-out: throughput and exits/op vs XSK shard count, with round-robin TX ablation", experiments.FigShards},
+		{"shards", "Sharded scale-out: throughput and exits/op vs XSK shard count", experiments.FigShards},
 		{"tcp", "In-enclave TCP: Redis-style throughput and exits/op, io_uring-proxied vs XSK TCP", experiments.FigTCP},
 	}
 

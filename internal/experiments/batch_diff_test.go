@@ -42,40 +42,11 @@ type diffRun struct {
 	rings      [][3]uint32 // per XSK: RX, TX, Fill local indices
 }
 
-// runEchoWorld builds one RakisSGX world, runs the echo workload at the
-// given vector width, quiesces the pumps, and captures the outcome.
+// runEchoWorld runs the echo workload at the given vector width in one
+// RakisSGX world and captures the outcome (see runZCEchoWorld).
 func runEchoWorld(t *testing.T, p workloads.EchoParams, batch int, inj *chaos.Injector) diffRun {
 	t.Helper()
-	p.Batch = batch
-	w, err := NewWorld(Options{Env: RakisSGX, Chaos: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	res, err := workloads.UDPEcho(w.WorkloadEnv(), p, true)
-	if err != nil {
-		t.Fatalf("b=%d: %v", batch, err)
-	}
-	d := diffRun{
-		res:        res,
-		pktRx:      w.Counters.PacketsRx.Load(),
-		pktTx:      w.Counters.PacketsTx.Load(),
-		bytesRx:    w.Counters.BytesRx.Load(),
-		bytesTx:    w.Counters.BytesTx.Load(),
-		violations: w.Counters.RingViolations.Load() + w.Counters.UMemViolations.Load(),
-		resyncs:    w.Counters.RingResyncs.Load(),
-	}
-	// Quiesce the pumps so the trusted ring shadows stop moving, then
-	// record them. Completion-ring indices are excluded: TX-completion
-	// reaping races the shutdown and is invisible to the application.
-	for _, pump := range w.Rakis().Pumps() {
-		pump.Close()
-	}
-	for _, pump := range w.Rakis().Pumps() {
-		s := pump.Socket()
-		d.rings = append(d.rings, [3]uint32{s.RX.Local(), s.TX.Local(), s.Fill.Local()})
-	}
-	return d
+	return runZCEchoWorld(t, RakisSGX, p, batch, inj)
 }
 
 // assertSameStream fails unless the two runs produced byte-identical

@@ -96,14 +96,6 @@ type Options struct {
 	NumXSKs int
 	// RingSize is the XSK ring size (default 2048, §6.1).
 	RingSize uint32
-	// GlobalLockStack enables the enclave-stack global-lock ablation.
-	GlobalLockStack bool
-	// CopyRX selects the legacy copying RX path in RAKIS environments
-	// (the zero-copy ablation). Ignored by the baselines.
-	CopyRX bool
-	// RoundRobinTX retains the pre-shard rotating TX queue selection in
-	// RAKIS environments (the flow-affinity ablation).
-	RoundRobinTX bool
 	// FrameCount overrides the UMem frame count in RAKIS environments
 	// (0 keeps the runtime default). The adaptive figure sets it from the
 	// tuner's geometry recommendation.
@@ -284,23 +276,20 @@ func NewWorld(opt Options) (*World, error) {
 			encModel = model
 		}
 		w.rakisRT, err = rakis.Boot(w.Kern, w.ServerNS, rakis.Config{
-			IP:              RakisIP,
-			NumXSKs:         opt.NumXSKs,
-			RingSize:        opt.RingSize,
-			FrameCount:      opt.FrameCount,
-			Mode:            mode,
-			Model:           encModel,
-			Counters:        w.Counters,
-			GlobalLockStack: opt.GlobalLockStack,
-			CopyRX:          opt.CopyRX,
-			RoundRobinTX:    opt.RoundRobinTX,
-			Chaos:           opt.Chaos,
-			Telemetry:       opt.Telemetry,
-			Adaptive:        opt.Adaptive,
-			TunerParams:     opt.TunerParams,
-			BusyPoll:        opt.BusyPoll,
-			BatchHint:       opt.BatchHint,
-			EnclaveTCP:      opt.Env == RakisSGXXskTCP,
+			IP:          RakisIP,
+			NumXSKs:     opt.NumXSKs,
+			RingSize:    opt.RingSize,
+			FrameCount:  opt.FrameCount,
+			Mode:        mode,
+			Model:       encModel,
+			Counters:    w.Counters,
+			Chaos:       opt.Chaos,
+			Telemetry:   opt.Telemetry,
+			Adaptive:    opt.Adaptive,
+			TunerParams: opt.TunerParams,
+			BusyPoll:    opt.BusyPoll,
+			BatchHint:   opt.BatchHint,
+			EnclaveTCP:  opt.Env == RakisSGXXskTCP,
 		})
 		if err != nil {
 			return nil, err

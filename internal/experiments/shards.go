@@ -13,18 +13,13 @@ import (
 // means the same work spread over more pumps — the client-clock
 // makespan shrinks and throughput scales near-linearly, while the
 // zero-exit UDP fast path keeps exits per op at the single-shard floor.
-// An S=8 round-robin TX ablation cell rides along: same world, same
-// load, pre-shard rotating queue selection — what flow affinity buys is
-// read directly off the pair.
 
 // ShardCell is one shard-count configuration's measurement.
 type ShardCell struct {
-	// Name identifies the cell ("echo/4", "memcached/8", "echo/8/rr").
+	// Name identifies the cell ("echo/4", "memcached/8").
 	Name string
 	// Shards is the XSK/shard count the world booted with.
 	Shards int
-	// RoundRobin marks the TX-ablation cell.
-	RoundRobin bool
 
 	// Ops is the delivered operation count (echo round trips or
 	// memcached ops).
@@ -47,7 +42,7 @@ type ShardCell struct {
 // shardWorldOptions sizes a world so the NICs are never the bottleneck
 // being measured: server queues and client queues both track the shard
 // count.
-func shardWorldOptions(shards int, sink *telemetry.Sink, rr bool) Options {
+func shardWorldOptions(shards int, sink *telemetry.Sink) Options {
 	sq, cq := shards, shards
 	if sq < 4 {
 		sq = 4
@@ -67,7 +62,6 @@ func shardWorldOptions(shards int, sink *telemetry.Sink, rr bool) Options {
 		NumXSKs:        shards,
 		ServerQueues:   sq,
 		ClientQueues:   cq,
-		RoundRobinTX:   rr,
 		UntrustedBytes: untrusted,
 		// The sweep pins kernel busy-poll: at saturation each queue's
 		// poll worker drains its rings on its own clock, so the one MM
@@ -108,17 +102,14 @@ func shardRollup(w *World, sink *telemetry.Sink, cell *ShardCell) error {
 // RunShardEchoCell measures one sharded-echo cell: fixed total ops
 // (Flows x PerFlow is the same at every shard count) on a world with
 // the given shard count.
-func RunShardEchoCell(scale Scale, shards int, roundRobin bool) (ShardCell, error) {
-	cell := ShardCell{Name: fmt.Sprintf("echo/%d", shards), Shards: shards, RoundRobin: roundRobin}
-	if roundRobin {
-		cell.Name += "/rr"
-	}
+func RunShardEchoCell(scale Scale, shards int) (ShardCell, error) {
+	cell := ShardCell{Name: fmt.Sprintf("echo/%d", shards), Shards: shards}
 	perFlow := int(128 * float64(scale))
 	if perFlow < 16 {
 		perFlow = 16
 	}
 	sink := telemetry.NewSink()
-	w, err := NewWorld(shardWorldOptions(shards, sink, roundRobin))
+	w, err := NewWorld(shardWorldOptions(shards, sink))
 	if err != nil {
 		return cell, err
 	}
@@ -162,7 +153,7 @@ func RunShardMemcachedCell(scale Scale, shards int) (ShardCell, error) {
 		ops = 200
 	}
 	sink := telemetry.NewSink()
-	w, err := NewWorld(shardWorldOptions(shards, sink, false))
+	w, err := NewWorld(shardWorldOptions(shards, sink))
 	if err != nil {
 		return cell, err
 	}
@@ -203,7 +194,7 @@ func RunShardScaling(scale Scale, counts []int) ([]ShardCell, error) {
 	}
 	var cells []ShardCell
 	for _, s := range counts {
-		c, err := RunShardEchoCell(scale, s, false)
+		c, err := RunShardEchoCell(scale, s)
 		if err != nil {
 			return nil, err
 		}
@@ -220,18 +211,12 @@ func RunShardScaling(scale Scale, counts []int) ([]ShardCell, error) {
 }
 
 // FigShards renders the shard-scaling figure: throughput and exits/op
-// per shard count for both workloads, plus the S=8 round-robin TX
-// ablation.
+// per shard count for both workloads.
 func FigShards(scale Scale) ([]Row, error) {
 	cells, err := RunShardScaling(scale, nil)
 	if err != nil {
 		return nil, err
 	}
-	rr, err := RunShardEchoCell(scale, 8, true)
-	if err != nil {
-		return nil, err
-	}
-	cells = append(cells, rr)
 	var rows []Row
 	for _, c := range cells {
 		rows = append(rows,

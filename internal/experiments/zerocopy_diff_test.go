@@ -1,35 +1,45 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
-	"time"
 
 	"rakis/internal/chaos"
-	"rakis/internal/mem"
+	"rakis/internal/netstack"
 	"rakis/internal/workloads"
 )
 
-// Differential tests for the zero-copy RX/splice datapath: the
-// certify-in-place view path must yield byte-identical datagram streams,
-// identical final ring states, and identical certification refusals to
-// the legacy copying RX path — removing the copies may change the cost
-// of a run, never its observable behavior.
+// Differential tests for the zero-copy RX/splice datapath. The copying
+// RX path these once compared against is gone (EXPERIMENTS.md, "Retired
+// ablations"); the certify-in-place path is held to references that
+// remain: the byte stream the workload sent (derived from the diffParams
+// seed), the Native environment's stream for the same seed, exact packet
+// and ring accounting against the delivered count, and the fixed
+// refusal/resync constants.
 
-// runZCEchoWorld builds one world in the given environment with the RX
-// path selected by copyRX, runs the echo workload, quiesces the pumps,
-// and captures the outcome. The diffRun shape and the stream assertion
-// are shared with the batch differential suite.
-func runZCEchoWorld(t *testing.T, env Environment, p workloads.EchoParams, batch int, copyRX bool, inj *chaos.Injector) diffRun {
+// Per-datagram wire overhead of the echo workload, and the one ARP
+// exchange (request in, reply out) every RAKIS run opens with.
+const (
+	udpWireOverhead = netstack.EthHeaderBytes + netstack.IPv4HeaderBytes + netstack.UDPHeaderBytes
+	arpFrameBytes   = netstack.EthHeaderBytes + 28
+)
+
+// runZCEchoWorld builds one world in the given environment, runs the
+// echo workload, quiesces the pumps, and captures the outcome. The
+// diffRun shape and the stream assertion are shared with the batch
+// differential suite.
+func runZCEchoWorld(t *testing.T, env Environment, p workloads.EchoParams, batch int, inj *chaos.Injector) diffRun {
 	t.Helper()
 	p.Batch = batch
-	w, err := NewWorld(Options{Env: env, CopyRX: copyRX, Chaos: inj})
+	w, err := NewWorld(Options{Env: env, Chaos: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	res, err := workloads.UDPEcho(w.WorkloadEnv(), p, true)
 	if err != nil {
-		t.Fatalf("%v copyRX=%v b=%d: %v", env, copyRX, batch, err)
+		t.Fatalf("%v b=%d: %v", env, batch, err)
 	}
 	d := diffRun{
 		res:        res,
@@ -40,6 +50,9 @@ func runZCEchoWorld(t *testing.T, env Environment, p workloads.EchoParams, batch
 		violations: w.Counters.RingViolations.Load() + w.Counters.UMemViolations.Load(),
 		resyncs:    w.Counters.RingResyncs.Load(),
 	}
+	// Quiesce the pumps so the trusted ring shadows stop moving, then
+	// record them. Completion-ring indices are excluded: TX-completion
+	// reaping races the shutdown and is invisible to the application.
 	if rt := w.Rakis(); rt != nil {
 		for _, pump := range rt.Pumps() {
 			pump.Close()
@@ -52,180 +65,175 @@ func runZCEchoWorld(t *testing.T, env Environment, p workloads.EchoParams, batch
 	return d
 }
 
-// assertSameOutcome extends the stream assertion with the enclave packet
-// accounting, refusal counters, and final trusted ring indices.
-func assertSameOutcome(t *testing.T, copied, inplace diffRun, label string) {
+// assertSentStream fails unless the run delivered exactly the stream the
+// echo client sent: p.Count datagrams of p.PacketSize bytes, zero but
+// for the big-endian sequence number in the first four.
+func assertSentStream(t *testing.T, got diffRun, p workloads.EchoParams, label string) {
 	t.Helper()
-	if copied.res.Echoed != inplace.res.Echoed ||
-		len(copied.res.Payloads) != len(inplace.res.Payloads) {
-		t.Fatalf("%s: in-place echoed %d (%d payloads), copy echoed %d (%d payloads)",
-			label, inplace.res.Echoed, len(inplace.res.Payloads), copied.res.Echoed, len(copied.res.Payloads))
+	if got.res.Echoed != p.Count || len(got.res.Payloads) != p.Count {
+		t.Fatalf("%s: echoed %d (%d payloads), sent %d", label, got.res.Echoed, len(got.res.Payloads), p.Count)
 	}
-	for i := range copied.res.Payloads {
-		if string(copied.res.Payloads[i]) != string(inplace.res.Payloads[i]) {
-			t.Fatalf("%s: datagram %d differs between the copy and in-place streams", label, i)
-		}
-	}
-	if copied.violations != inplace.violations {
-		t.Fatalf("%s: refusal counters differ: in-place %d, copy %d", label, inplace.violations, copied.violations)
-	}
-	if copied.pktRx != inplace.pktRx || copied.pktTx != inplace.pktTx ||
-		copied.bytesRx != inplace.bytesRx || copied.bytesTx != inplace.bytesTx {
-		t.Fatalf("%s: packet accounting differs: in-place rx=%d/%dB tx=%d/%dB copy rx=%d/%dB tx=%d/%dB",
-			label, inplace.pktRx, inplace.bytesRx, inplace.pktTx, inplace.bytesTx,
-			copied.pktRx, copied.bytesRx, copied.pktTx, copied.bytesTx)
-	}
-	if len(copied.rings) != len(inplace.rings) {
-		t.Fatalf("%s: XSK count differs", label)
-	}
-	for i := range copied.rings {
-		if copied.rings[i] != inplace.rings[i] {
-			t.Fatalf("%s xsk %d: final ring state %v in-place, %v copy (RX, TX, Fill locals)",
-				label, i, inplace.rings[i], copied.rings[i])
+	want := make([]byte, p.PacketSize)
+	for i, payload := range got.res.Payloads {
+		putU32t(want, uint32(i))
+		if !bytes.Equal(payload, want) {
+			t.Fatalf("%s: datagram %d differs from the one sent", label, i)
 		}
 	}
 }
 
-// TestZerocopyDifferentialStreams: for seeded random echo workloads at
-// vector widths 1..64 in every environment, the in-place view path must
-// deliver the exact datagram stream the copying path delivers, with
-// equal packet accounting, equal final ring indices, and zero refusals.
-// The RAKIS environments exercise the real differential; the baselines
-// pin the knob as a structural no-op outside RAKIS.
+// assertEchoAccounting holds a well-behaved-host echo run's counters and
+// final trusted ring indices to the delivered count n: no refusals; on
+// RAKIS every datagram is one xRX frame in and one xTX frame out (each
+// counted once by the XSK and once by the enclave stack) plus the ARP
+// exchange, and the quiesced fill ring is full again; on the baselines
+// the kernel stack counts each datagram once.
+func assertEchoAccounting(t *testing.T, env Environment, got diffRun, p workloads.EchoParams, label string) {
+	t.Helper()
+	if got.violations != 0 {
+		t.Fatalf("%s: %d certifications refused on a well-behaved host", label, got.violations)
+	}
+	n := uint64(got.res.Echoed)
+	l4 := n * uint64(p.PacketSize+netstack.UDPHeaderBytes)
+	want := diffRun{pktRx: n, pktTx: n, bytesRx: l4}
+	if env.IsRakis() {
+		wire := n*uint64(p.PacketSize+udpWireOverhead) + arpFrameBytes
+		want = diffRun{pktRx: 2*n + 1, pktTx: 2*n + 1, bytesRx: wire + l4, bytesTx: wire}
+		frames := uint32(n) + 1
+		want.rings = [][3]uint32{{frames, frames, 2048 + frames}}
+	}
+	if got.pktRx != want.pktRx || got.pktTx != want.pktTx ||
+		got.bytesRx != want.bytesRx || got.bytesTx != want.bytesTx {
+		t.Fatalf("%s: packet accounting rx=%d/%dB tx=%d/%dB, want rx=%d/%dB tx=%d/%dB for %d delivered",
+			label, got.pktRx, got.bytesRx, got.pktTx, got.bytesTx,
+			want.pktRx, want.bytesRx, want.pktTx, want.bytesTx, n)
+	}
+	if len(got.rings) != len(want.rings) {
+		t.Fatalf("%s: %d XSKs, want %d", label, len(got.rings), len(want.rings))
+	}
+	for i := range want.rings {
+		if got.rings[i] != want.rings[i] {
+			t.Fatalf("%s xsk %d: final ring state %v, want %v (RX, TX, Fill locals) for %d delivered",
+				label, i, got.rings[i], want.rings[i], n)
+		}
+	}
+}
+
+// TestZerocopyDifferentialStreams: for a seeded random echo workload at
+// vector widths 1..64 in every environment, the delivered datagram
+// stream must be the stream that was sent and the stream Native
+// delivers, with packet accounting and final ring indices exact against
+// the delivered count and zero refusals. The baselines run one width.
 func TestZerocopyDifferentialStreams(t *testing.T) {
+	p := diffParams(11)
+	native := runZCEchoWorld(t, Native, p, 1, nil)
 	for _, env := range Environments {
 		widths := []int{1, 7, 32, 64}
 		if !env.IsRakis() {
-			widths = []int{1} // knob is a no-op: one sanity width
+			widths = []int{1}
 		}
 		for _, batch := range widths {
-			p := diffParams(11)
-			label := env.String()
-			copied := runZCEchoWorld(t, env, p, batch, true, nil)
-			inplace := runZCEchoWorld(t, env, p, batch, false, nil)
-			if copied.violations != 0 {
-				t.Fatalf("%s b=%d: copy run refused %d certifications on a well-behaved host",
-					label, batch, copied.violations)
-			}
-			assertSameOutcome(t, copied, inplace, label)
+			label := fmt.Sprintf("%v b=%d", env, batch)
+			got := runZCEchoWorld(t, env, p, batch, nil)
+			assertSentStream(t, got, p, label)
+			assertSameStream(t, native, got, batch)
+			assertEchoAccounting(t, env, got, p, label)
 		}
 	}
 }
 
 // TestZerocopyDifferentialIperf: the datagram-blast shape (no echo —
-// pure RX pressure, large frames) must agree between the two paths on
-// delivered count, bytes, packet accounting, and refusals.
+// pure RX pressure, large frames) must deliver every datagram sent, as
+// Native does, with exact packet accounting and no refusals.
 func TestZerocopyDifferentialIperf(t *testing.T) {
-	run := func(copyRX bool) (workloads.IperfResult, [2]uint64, uint64) {
-		w, err := NewWorld(Options{Env: RakisSGX, CopyRX: copyRX})
+	params := workloads.IperfParams{PacketSize: 1460, Count: 400}
+	run := func(env Environment) (workloads.IperfResult, [2]uint64, uint64) {
+		w, err := NewWorld(Options{Env: env})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		res, err := workloads.IperfUDP(w.WorkloadEnv(), workloads.IperfParams{PacketSize: 1460, Count: 400})
+		res, err := workloads.IperfUDP(w.WorkloadEnv(), params)
 		if err != nil {
-			t.Fatalf("copyRX=%v: %v", copyRX, err)
+			t.Fatalf("%v: %v", env, err)
 		}
 		return res,
 			[2]uint64{w.Counters.PacketsRx.Load(), w.Counters.BytesRx.Load()},
 			w.Counters.RingViolations.Load() + w.Counters.UMemViolations.Load()
 	}
-	cres, ccnt, cviol := run(true)
-	zres, zcnt, zviol := run(false)
-	if cviol != 0 || zviol != 0 {
-		t.Fatalf("refusals on a well-behaved host: copy %d, in-place %d", cviol, zviol)
+	nres, _, _ := run(Native)
+	zres, zcnt, zviol := run(RakisSGX)
+	if zviol != 0 {
+		t.Fatalf("%d refusals on a well-behaved host", zviol)
 	}
-	if cres.Received != zres.Received || cres.Bytes != zres.Bytes {
-		t.Fatalf("delivery differs: in-place %d/%dB, copy %d/%dB", zres.Received, zres.Bytes, cres.Received, cres.Bytes)
+	if zres.Received != params.Count || zres.Bytes != uint64(params.Count*params.PacketSize) {
+		t.Fatalf("delivered %d/%dB of %d x %dB sent", zres.Received, zres.Bytes, params.Count, params.PacketSize)
 	}
-	if ccnt != zcnt {
-		t.Fatalf("packet accounting differs: in-place %v, copy %v", zcnt, ccnt)
+	if zres.Received != nres.Received || zres.Bytes != nres.Bytes {
+		t.Fatalf("delivery differs from Native: %d/%dB vs %d/%dB", zres.Received, zres.Bytes, nres.Received, nres.Bytes)
+	}
+	// The XSK and the enclave stack each count every datagram; the XSK
+	// also counts the ARP request.
+	n := uint64(zres.Received)
+	l4 := n * uint64(params.PacketSize+netstack.UDPHeaderBytes)
+	want := [2]uint64{2*n + 1, n*uint64(params.PacketSize+udpWireOverhead) + arpFrameBytes + l4}
+	if zcnt != want {
+		t.Fatalf("packet accounting %v, want %v for %d delivered", zcnt, want, n)
 	}
 }
 
 // TestZerocopyDifferentialMemcached: the request/response workload (two
-// directions, many sockets) must complete the same op count with zero
-// refusals on both paths. Exact packet counts are not asserted: the
+// directions, many sockets) must complete the op count Native completes
+// with zero refusals. Exact packet counts are not asserted: the
 // memaslap-style client emits timing-dependent retries, so packet
-// accounting varies between runs of the SAME path (measured: ±1 request
-// on a fixed copy-path world) — op completion and refusal-freedom are
-// the deterministic contract here.
+// accounting varies between runs of the SAME world (measured: ±1
+// request) — op completion and refusal-freedom are the deterministic
+// contract here.
 func TestZerocopyDifferentialMemcached(t *testing.T) {
-	run := func(copyRX bool) (workloads.MemcachedResult, uint64) {
-		w, err := NewWorld(Options{Env: RakisSGX, CopyRX: copyRX})
+	params := workloads.MemcachedParams{ServerThreads: 2, Ops: 400}
+	run := func(env Environment) (workloads.MemcachedResult, uint64) {
+		w, err := NewWorld(Options{Env: env})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		res, err := workloads.Memcached(w.WorkloadEnv(), workloads.MemcachedParams{ServerThreads: 2, Ops: 400})
+		res, err := workloads.Memcached(w.WorkloadEnv(), params)
 		if err != nil {
-			t.Fatalf("copyRX=%v: %v", copyRX, err)
+			t.Fatalf("%v: %v", env, err)
 		}
 		return res, w.Counters.RingViolations.Load() + w.Counters.UMemViolations.Load()
 	}
-	cres, cviol := run(true)
-	zres, zviol := run(false)
-	if cviol != 0 || zviol != 0 {
-		t.Fatalf("refusals on a well-behaved host: copy %d, in-place %d", cviol, zviol)
+	nres, _ := run(Native)
+	zres, zviol := run(RakisSGX)
+	if zviol != 0 {
+		t.Fatalf("%d refusals on a well-behaved host", zviol)
 	}
-	if cres.Ops != zres.Ops {
-		t.Fatalf("ops differ: in-place %d, copy %d", zres.Ops, cres.Ops)
+	if zres.Ops != params.Ops || zres.Ops != nres.Ops {
+		t.Fatalf("completed %d ops, Native %d, asked for %d", zres.Ops, nres.Ops, params.Ops)
 	}
 }
 
 // TestZerocopyDifferentialRefusals: a deterministic hostile producer
-// value must produce the identical certification-refusal outcome on both
-// RX paths — exactly resyncThreshold refusals, one resync, and full
-// recovery.
+// value must produce the exact certification-refusal outcome on the view
+// path at width 1 — resyncThreshold refusals, one resync, and full
+// recovery (refusalProbe, shared with the batch suite).
 func TestZerocopyDifferentialRefusals(t *testing.T) {
-	p := diffParams(12)
 	const wantViolations, wantResyncs = 4, 1
-	for _, copyRX := range []bool{true, false} {
-		w, err := NewWorld(Options{Env: RakisSGX, CopyRX: copyRX})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Batch = 1
-		p.Port = 7
-		if _, err := workloads.UDPEcho(w.WorkloadEnv(), p, false); err != nil {
-			t.Fatalf("copyRX=%v warmup: %v", copyRX, err)
-		}
-		if v := w.Counters.RingViolations.Load(); v != 0 {
-			t.Fatalf("copyRX=%v: %d refusals before the hostile write", copyRX, v)
-		}
-		sock := w.Rakis().Pumps()[0].Socket()
-		cell, err := w.Space.Atomic32(mem.RoleHost, sock.RX.Base())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cell.Store(sock.RX.Local() + sock.RX.Size() + 1)
-		deadline := time.Now().Add(5 * time.Second)
-		for w.Counters.RingResyncs.Load() == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("copyRX=%v: quarantine-and-resync never fired (violations=%d)",
-					copyRX, w.Counters.RingViolations.Load())
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-		p.Port = 8
-		if _, err := workloads.UDPEcho(w.WorkloadEnv(), p, false); err != nil {
-			t.Fatalf("copyRX=%v after resync: %v", copyRX, err)
-		}
-		violations, resyncs := w.Counters.RingViolations.Load(), w.Counters.RingResyncs.Load()
-		w.Close()
-		if violations != wantViolations || resyncs != wantResyncs {
-			t.Fatalf("copyRX=%v: %d refusals / %d resyncs, want exactly %d / %d",
-				copyRX, violations, resyncs, wantViolations, wantResyncs)
-		}
+	violations, resyncs := refusalProbe(t, diffParams(12), 1)
+	if violations != wantViolations || resyncs != wantResyncs {
+		t.Fatalf("%d refusals / %d resyncs, want exactly %d / %d",
+			violations, resyncs, wantViolations, wantResyncs)
 	}
 }
 
 // TestZerocopyDifferentialUnderChaos: under the completion-requiring
-// fault profiles (same profile, same seed in both worlds), the in-place
-// path must still deliver the byte-identical datagram stream the copy
-// path delivers.
+// fault profiles, the view path must still deliver the byte-identical
+// datagram stream that was sent — the one a fault-free Native run
+// delivers.
 func TestZerocopyDifferentialUnderChaos(t *testing.T) {
 	profiles := chaos.Profiles()
+	p := diffParams(13)
+	native := runZCEchoWorld(t, Native, p, 8, nil)
 	for _, name := range []string{"wakeups", "mmdeath"} {
 		prof, ok := profiles[name]
 		if !ok {
@@ -235,11 +243,9 @@ func TestZerocopyDifferentialUnderChaos(t *testing.T) {
 			t.Fatalf("profile %q does not require completion; the differential contract needs one that does", name)
 		}
 		t.Run(name, func(t *testing.T) {
-			p := diffParams(13)
-			seed := uint64(0x2ce0)
-			copied := runZCEchoWorld(t, RakisSGX, p, 8, true, chaos.New(prof, seed, nil, nil))
-			inplace := runZCEchoWorld(t, RakisSGX, p, 8, false, chaos.New(prof, seed, nil, nil))
-			assertSameStream(t, copied, inplace, 8)
+			got := runZCEchoWorld(t, RakisSGX, p, 8, chaos.New(prof, 0x2ce0, nil, nil))
+			assertSentStream(t, got, p, name)
+			assertSameStream(t, native, got, 8)
 		})
 	}
 }
@@ -287,28 +293,39 @@ func TestZerocopyProxySplice(t *testing.T) {
 }
 
 // TestZerocopyFigureGate is the acceptance gate for the zerocopy figure:
-// the in-place path must cut the RX datapath's copy-component cycles per
-// op by at least 2x on iperf and on the proxy workload, in both RAKIS
-// environments.
+// an absolute budget on the view path's copy-component cycles per op, on
+// iperf and on the proxy workload in both RAKIS environments. The
+// quantity is modelled (bytes copied × the model's per-byte cost), not
+// timed, so the budgets are the values recorded in EXPERIMENTS.md with
+// at most 10% headroom; the copying RX path they were once gated
+// against (≥2× more) is recorded under "Retired ablations" there.
 func TestZerocopyFigureGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure-sized run")
+	}
+	budget := map[string]float64{
+		"Rakis-Direct iperf/zc":    80,  // recorded 73: the one app-boundary copy
+		"Rakis-SGX iperf/zc":       240, // recorded 219
+		"Rakis-Direct udpproxy/zc": 2.2, // recorded 2: header-rewrite bytes only
+		"Rakis-SGX udpproxy/zc":    6.6, // recorded 6
 	}
 	rows, err := FigZerocopy(0.15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratios := 0
 	for _, r := range rows {
-		if r.Unit != "x" {
+		cell := r.Env.String() + " " + r.Param
+		max, ok := budget[cell]
+		if !ok {
+			t.Errorf("unexpected row %s", cell)
 			continue
 		}
-		ratios++
-		if r.Value < 2 {
-			t.Errorf("%v %s: copy/zc ratio %.2f, want >= 2", r.Env, r.Param, r.Value)
+		delete(budget, cell)
+		if r.Unit != "copycyc/op" || r.Value <= 0 || r.Value > max {
+			t.Errorf("%s: %.2f %s, want (0, %.1f] copycyc/op", cell, r.Value, r.Unit, max)
 		}
 	}
-	if ratios != 4 {
-		t.Fatalf("expected 4 ratio rows (2 envs x 2 workloads), got %d", ratios)
+	for cell := range budget {
+		t.Errorf("row %s missing", cell)
 	}
 }

@@ -3,8 +3,9 @@
 // their trusted bounce-buffer management.
 //
 // The XSK pump is the paper's "distinct SGX enclave thread assigned to
-// each XSK": it moves incoming frames from untrusted UMem into trusted
-// memory and invokes the in-enclave UDP/IP stack, keeping the fill ring
+// each XSK": it certifies incoming frames in place (xsk.RecvViews) and
+// hands each view to its shard of the in-enclave UDP/IP stack
+// (netstack.InputViewShard) — the one RX path — keeping the fill ring
 // stocked so the kernel never runs out of RX frames (§4.1 "Quality of
 // service assurance").
 //
@@ -70,13 +71,6 @@ type XskPump struct {
 	stack *netstack.Stack
 	model *vtime.Model
 
-	// copyRX selects the classic copying RX path (frame copied into a
-	// trusted buffer before the stack parses it) instead of the default
-	// zero-copy path (certified views parsed in place). Set before
-	// Start; the differential suite runs both and asserts they differ
-	// only in cost.
-	copyRX bool
-
 	// waker is the lost-wakeup recovery ladder for the TX direction
 	// (xTX is edge-triggered: a swallowed sendto never re-fires on its
 	// own). Optional; set before Start.
@@ -131,10 +125,6 @@ func (p *XskPump) Socket() *xsk.Socket { return p.sock }
 // SetWaker installs the TX lost-wakeup recovery ladder. Call before
 // Start.
 func (p *XskPump) SetWaker(w iouring.Waker) { p.waker = w }
-
-// SetCopyRX selects the copying RX path instead of zero-copy views.
-// Call before Start.
-func (p *XskPump) SetCopyRX(on bool) { p.copyRX = on }
 
 // SetTuning couples the pump to the shared tuner state. Call before
 // Start.
@@ -223,11 +213,8 @@ func (p *XskPump) run() {
 	}
 }
 
-// pumpOnce drains one certified RX run into the stack and returns the
-// number of frames moved. The default zero-copy path hands each frame to
-// the stack as a certified in-place view; the copying path materializes
-// a trusted payload first (the pre-zero-copy shape, kept as the
-// differential baseline and the CopyRX ablation).
+// pumpOnce drains one certified RX run into the stack, each frame as a
+// certified in-place view, and returns the number of frames moved.
 func (p *XskPump) pumpOnce() int {
 	if q := p.sock.RxQueued(); q > 0 {
 		p.depth.Observe(uint64(q))
@@ -237,15 +224,6 @@ func (p *XskPump) pumpOnce() int {
 		if b := p.tuning.Batch(); b < width {
 			width = b
 		}
-	}
-	if p.copyRX {
-		payloads := p.sock.RecvBatch(&p.clk, width)
-		for _, payload := range payloads {
-			p.clk.Advance(p.model.FMPerPacket)
-			p.stack.InputShard(payload, &p.clk, p.shard)
-		}
-		p.moved.Add(uint64(len(payloads)))
-		return len(payloads)
 	}
 	views := p.sock.RecvViews(&p.clk, width)
 	for i := range views {
@@ -330,46 +308,62 @@ func (u *UringFM) copied(n int, dir uint64, clk *vtime.Clock) {
 // FM rides out with bounded backoff, not an error on the first try.
 const submitRetryMax = 25
 
-// submitRetry submits one SQE, riding out a full iSub with doubling
-// backoff: each retry drains any parked completions (emptying the
+// submitLadder is the full-iSub recovery ladder one submission climbs,
+// shared by the scalar and vectored submit paths.
+type submitLadder struct {
+	attempt int
+	backoff time.Duration
+}
+
+// step climbs one rung — drain any parked completions (emptying the
 // outstanding set is what re-enables the ring's cons==prod
-// reconciliation) and escalates through the waker so a lost consumption
-// wakeup gets re-issued. A full ring is also how a scribbled consumer
-// cell presents — the refused read pins Free at its last trusted value —
-// so the retries double as the window in which quarantine-and-resync
-// heals the cell.
+// reconciliation), escalate through the waker so a lost consumption
+// wakeup gets re-issued, count the retry, back off (doubling) — and
+// reports false once submitRetryMax rungs are spent. A full ring is also
+// how a scribbled consumer cell presents — the refused read pins Free at
+// its last trusted value — so the rungs double as the window in which
+// quarantine-and-resync heals the cell.
+func (u *UringFM) step(ld *submitLadder, clk *vtime.Clock) bool {
+	if ld.attempt >= submitRetryMax {
+		return false
+	}
+	ld.attempt++
+	u.ring.Drain(clk)
+	u.ring.Escalate()
+	if c := u.ring.Counters(); c != nil {
+		c.SubmitRetries.Add(1)
+	}
+	time.Sleep(ld.backoff)
+	if ld.backoff < 2*time.Millisecond {
+		ld.backoff *= 2
+	}
+	return true
+}
+
+// submitRetry submits one SQE, riding out a full iSub on the ladder.
 func (u *UringFM) submitRetry(e iouring.SQE, clk *vtime.Clock) (uint64, error) {
-	backoff := 20 * time.Microsecond
-	for attempt := 0; ; attempt++ {
+	ld := submitLadder{backoff: 20 * time.Microsecond}
+	for {
 		tok, err := u.ring.Submit(e, clk)
-		if err == nil || !errors.Is(err, iouring.ErrFull) || attempt >= submitRetryMax {
+		if err == nil || !errors.Is(err, iouring.ErrFull) || !u.step(&ld, clk) {
 			return tok, err
-		}
-		u.ring.Drain(clk)
-		u.ring.Escalate()
-		if c := u.ring.Counters(); c != nil {
-			c.SubmitRetries.Add(1)
-		}
-		time.Sleep(backoff)
-		if backoff < 2*time.Millisecond {
-			backoff *= 2
 		}
 	}
 }
 
 // submitRetryN is the vectored form of submitRetry: it pushes the whole
-// batch through SubmitN, re-offering the unsubmitted tail through the
-// same drain/escalate/backoff ladder when the ring fills mid-batch. It
-// returns the tokens for the submitted prefix; the error is non-nil only
-// when the ladder gave up (ErrFull) or a non-retryable error struck, in
-// which case len(tokens) tells the caller how far the batch got.
+// batch through SubmitN, re-offering the unsubmitted tail on the same
+// ladder when the ring fills mid-batch. It returns the tokens for the
+// submitted prefix; the error is non-nil only when the ladder gave up
+// (ErrFull) or a non-retryable error struck, in which case len(tokens)
+// tells the caller how far the batch got.
 func (u *UringFM) submitRetryN(es []iouring.SQE, clk *vtime.Clock) ([]uint64, error) {
 	if len(es) == 0 {
 		return nil, nil
 	}
 	tokens := make([]uint64, 0, len(es))
-	backoff := 20 * time.Microsecond
-	for attempt := 0; ; attempt++ {
+	ld := submitLadder{backoff: 20 * time.Microsecond}
+	for {
 		got, err := u.ring.SubmitN(es[len(tokens):], clk)
 		tokens = append(tokens, got...)
 		if len(tokens) == len(es) {
@@ -378,17 +372,8 @@ func (u *UringFM) submitRetryN(es []iouring.SQE, clk *vtime.Clock) ([]uint64, er
 		if err != nil && !errors.Is(err, iouring.ErrFull) {
 			return tokens, err
 		}
-		if attempt >= submitRetryMax {
+		if !u.step(&ld, clk) {
 			return tokens, iouring.ErrFull
-		}
-		u.ring.Drain(clk)
-		u.ring.Escalate()
-		if c := u.ring.Counters(); c != nil {
-			c.SubmitRetries.Add(1)
-		}
-		time.Sleep(backoff)
-		if backoff < 2*time.Millisecond {
-			backoff *= 2
 		}
 	}
 }

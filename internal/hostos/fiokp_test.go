@@ -76,17 +76,22 @@ func TestXSKReceivePath(t *testing.T) {
 
 	// The FM polls xRX for the layer-2 frame.
 	deadline := time.Now().Add(2 * time.Second)
-	var frame []byte
+	var views []mem.View
 	for {
-		var ok bool
-		frame, ok = sock.Recv(&fmClk)
-		if ok {
+		if views = sock.RecvViews(&fmClk, 1); len(views) == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("frame never reached the XSK")
 		}
 		time.Sleep(100 * time.Microsecond)
+	}
+	frame := make([]byte, views[0].Len())
+	if _, err := views[0].CopyOut(frame, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := views[0].Release(); err != nil {
+		t.Fatal(err)
 	}
 	// It is a full Ethernet frame carrying our UDP payload.
 	_, ipPayload, err := netstack.ParseEth(frame)
@@ -125,7 +130,7 @@ func TestXSKDropWithoutFill(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	var fmClk vtime.Clock
-	if _, ok := sock.Recv(&fmClk); ok {
+	if views := sock.RecvViews(&fmClk, 1); len(views) != 0 {
 		t.Fatal("nothing should arrive without fill entries")
 	}
 	// The kernel flagged need-wakeup on the fill ring.
@@ -169,8 +174,8 @@ func TestXSKTransmitPath(t *testing.T) {
 	}, ip)
 
 	var fmClk vtime.Clock
-	if err := sock.Send(frame, &fmClk); err != nil {
-		t.Fatal(err)
+	if n, err := sock.SendBatch([][]byte{frame}, &fmClk); err != nil || n != 1 {
+		t.Fatalf("sent %d, %v", n, err)
 	}
 	if sock.TX.ProducerValue() != 1 {
 		t.Fatal("TX producer must advance for the MM to notice")
@@ -220,7 +225,7 @@ func TestXSKHostileKernelScribbles(t *testing.T) {
 		hostBytes[i] = 0xFF
 	}
 	// Producer now claims 0xFFFFFFFF entries: certification rejects it.
-	if _, ok := sock.Recv(&fmClk); ok {
+	if views := sock.RecvViews(&fmClk, 1); len(views) != 0 {
 		t.Fatal("hostile RX state must yield nothing")
 	}
 	if !sock.UMem.InvariantHolds() {

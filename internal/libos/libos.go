@@ -19,7 +19,6 @@
 package libos
 
 import (
-	"sync/atomic"
 	"time"
 
 	"rakis/internal/hostos"
@@ -67,13 +66,6 @@ type Process struct {
 	// guard); only a multi-threaded exit storm — the Gramine-SGX
 	// memcached case — saturates it.
 	exitRes vtime.Resource
-
-	// batchAdvice is the vector width AdviseBatch reports on this
-	// process's threads. The Gramine/Native baselines have no tuner, so
-	// this is a static process-wide hint (default 1) — it exists so
-	// batching-aware workloads can ask every environment the same
-	// question.
-	batchAdvice atomic.Int32
 }
 
 // NewProcess boots a process in the given mode. In SGX mode the enclave
@@ -98,15 +90,6 @@ func (p *Process) Mode() Mode { return p.mode }
 // SetTelemetry attaches a telemetry sink: threads created afterwards get
 // a span probe bound to their clock. Call before NewThread.
 func (p *Process) SetTelemetry(s *telemetry.Sink) { p.sink = s }
-
-// SetBatchAdvice pins the vector width this process's threads report
-// from AdviseBatch.
-func (p *Process) SetBatchAdvice(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.batchAdvice.Store(int32(n))
-}
 
 // Telemetry returns the attached sink (nil when telemetry is off).
 func (p *Process) Telemetry() *telemetry.Sink { return p.sink }
@@ -143,15 +126,10 @@ func (t *Thread) Probe() *telemetry.Probe { return t.probe }
 // Clone creates a sibling thread (with its own probe, when attached).
 func (t *Thread) Clone() sys.Sys { return t.p.NewThread() }
 
-// AdviseBatch reports the process's static batch advice (>= 1). The
+// AdviseBatch reports 1: the Gramine/Native baselines have no tuner. The
 // RAKIS runtime overrides this with the live tuner width; here it only
 // gives batching-aware workloads one question to ask everywhere.
-func (t *Thread) AdviseBatch() int {
-	if b := t.p.batchAdvice.Load(); b > 1 {
-		return int(b)
-	}
-	return 1
-}
+func (t *Thread) AdviseBatch() int { return 1 }
 
 // libosEntry charges the in-enclave syscall interception cost.
 func (t *Thread) libosEntry() {

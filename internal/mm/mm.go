@@ -290,9 +290,6 @@ func (m *Monitor) Sweep() int {
 // never safety.
 func (m *Monitor) RequestBusyPoll(on bool) { m.busyDesired.Store(on) }
 
-// BusyPollApplied reports the mode the sweep last applied.
-func (m *Monitor) BusyPollApplied() bool { return m.busyApplied.Load() }
-
 // applyMode reconciles the applied wakeup mode with the requested one,
 // issuing one busy-poll toggle per distinct XSK fd.
 func (m *Monitor) applyMode(watches []*watch) {

@@ -97,8 +97,8 @@ func TestMonitorFiresXSKWakeups(t *testing.T) {
 
 	// A TX produce must trigger sendto; the frame reaches the wire.
 	frame := make([]byte, 64)
-	if err := sock.Send(frame, &clk); err != nil {
-		t.Fatal(err)
+	if n, err := sock.SendBatch([][]byte{frame}, &clk); err != nil || n != 1 {
+		t.Fatalf("sent %d, %v", n, err)
 	}
 	before := f.ctrs.Wakeups.Load()
 	if n := mon.Sweep(); n != 1 {

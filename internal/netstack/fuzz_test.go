@@ -6,8 +6,7 @@ package netstack
 // state. The harness mirrors the paper's AFL++ binary: it initializes the
 // stack, feeds frames from the fuzzer, and — to broaden the reachable
 // state space — emulates user actions (bound sockets that echo what they
-// receive). cmd/rakis-fuzz wraps the same corpus-driven entry point for
-// stdin-driven runs.
+// receive).
 
 import (
 	"testing"
@@ -25,7 +24,7 @@ func (d sinkDevice) MTU() int                                                { r
 
 // FuzzTarget builds the fuzzing stack in its trimmed (enclave)
 // configuration, with a bound socket to make the UDP demux reachable, and
-// feeds it one hostile frame. Exported for cmd/rakis-fuzz.
+// feeds it one hostile frame.
 func fuzzStack(trimmed bool) (*Stack, *UDPSocket) {
 	cfg := Config{
 		Name: "fuzz",
@@ -54,9 +53,7 @@ func fuzzStack(trimmed bool) (*Stack, *UDPSocket) {
 
 // FuzzInject drives one frame through a stack and emulates the user side
 // (echoing any datagram that arrived), as the paper's harness does to
-// reach deeper states. Exported for cmd/rakis-fuzz via the go:linkname-free
-// route of simply being reimplemented there; kept here as the canonical
-// form.
+// reach deeper states.
 func fuzzInject(s *Stack, sock *UDPSocket, data []byte) {
 	var clk vtime.Clock
 	s.Input(data, &clk)

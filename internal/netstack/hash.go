@@ -57,3 +57,32 @@ func RXShard(src, dst IP4, sport, dport uint16, n int) int {
 func TXShard(src, dst IP4, sport, dport uint16, n int) int {
 	return RXShard(dst, src, dport, sport, n)
 }
+
+// FrameFlow extracts FlowHash's inputs, in wire order, from an Ethernet
+// frame: the one parser behind both steering decisions (the RSS program
+// passes the tuple to RXShard, the link's TX lane choice to TXShard), so
+// the two cannot drift. An unfragmented UDP or TCP packet yields its
+// address and port pairs. Any other IPv4 packet — a fragment, whose
+// later pieces carry payload where the first carries ports, a protocol
+// without ports, an L4 header cut short — yields the address pair with
+// zero ports, in both directions, so every fragment of one datagram
+// takes the same lane. ok is false when there is no IPv4 header to key
+// on (short frame, ARP, bad version or IHL); callers send those to
+// shard 0.
+func FrameFlow(frame []byte) (src, dst IP4, sport, dport uint16, ok bool) {
+	if len(frame) < EthHeaderBytes+IPv4HeaderBytes || be16(frame[12:14]) != EtherTypeIPv4 {
+		return
+	}
+	ip := frame[EthHeaderBytes:]
+	ihl := int(ip[0]&0x0F) * 4
+	if ip[0]>>4 != 4 || ihl < IPv4HeaderBytes || len(ip) < ihl {
+		return
+	}
+	copy(src[:], ip[12:16])
+	copy(dst[:], ip[16:20])
+	fragment := be16(ip[6:8])&0x3FFF != 0 // MF set or a non-zero offset
+	if !fragment && (ip[9] == ProtoUDP || ip[9] == ProtoTCP) && len(ip) >= ihl+4 {
+		sport, dport = be16(ip[ihl:]), be16(ip[ihl+2:])
+	}
+	return src, dst, sport, dport, true
+}

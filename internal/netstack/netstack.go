@@ -14,10 +14,10 @@
 //
 // Concurrency follows §4.2's implementation note: instead of one global
 // stack lock, shared state uses fine-grained per-socket and per-table
-// locks. The ablation benchmark can re-enable the global-lock behaviour
-// via Config.GlobalLock, which also routes every packet's processing cost
-// through a single virtual-time Resource so the contention is visible in
-// simulated time.
+// locks, and the demux is sharded per RSS queue (hash.go is the one
+// definition of the flow hash and of the frame parser that feeds it).
+// The retired global-lock ablation's last measurement is recorded in
+// EXPERIMENTS.md.
 //
 //rakis:role enclave
 package netstack

@@ -336,3 +336,54 @@ func TestShardBindCloseRecvRace(t *testing.T) {
 	cwg.Wait()
 	wg.Wait()
 }
+
+// TestFrameFlow pins the one frame parser behind both steering
+// decisions: unfragmented UDP/TCP key on addresses and ports (the tuple
+// FlowHash always took), every other IPv4 packet — each fragment of a
+// datagram included — on the address pair alone, and frames without an
+// IPv4 header have no key. A request and its reply land on one shard.
+func TestFrameFlow(t *testing.T) {
+	a, b := IP4{10, 0, 0, 1}, IP4{10, 0, 0, 3}
+	frame := func(h IPv4Header, l4 []byte) []byte {
+		return MarshalEth(EthHeader{Type: EtherTypeIPv4}, MarshalIPv4(h, l4))
+	}
+	ports := []byte{0x9c, 0x40, 0, 7, 0, 12, 0, 0, 'd', 'a', 't', 'a'} // 40000 -> 7
+	for _, tc := range []struct {
+		name         string
+		frame        []byte
+		sport, dport uint16
+		ok           bool
+	}{
+		{"udp", frame(IPv4Header{Proto: ProtoUDP, Src: a, Dst: b}, ports), 40000, 7, true},
+		{"tcp", frame(IPv4Header{Proto: ProtoTCP, Src: a, Dst: b}, ports), 40000, 7, true},
+		{"udp df", frame(IPv4Header{Proto: ProtoUDP, Src: a, Dst: b, DF: true}, ports), 40000, 7, true},
+		{"first fragment", frame(IPv4Header{Proto: ProtoUDP, Src: a, Dst: b, MF: true}, ports), 0, 0, true},
+		{"later fragment", frame(IPv4Header{Proto: ProtoUDP, Src: a, Dst: b, MF: true, FragOff: 8}, ports), 0, 0, true},
+		{"last fragment", frame(IPv4Header{Proto: ProtoUDP, Src: a, Dst: b, FragOff: 16}, ports), 0, 0, true},
+		{"icmp", frame(IPv4Header{Proto: ProtoICMP, Src: a, Dst: b}, ports), 0, 0, true},
+		{"l4 cut short", frame(IPv4Header{Proto: ProtoUDP, Src: a, Dst: b}, ports[:3]), 0, 0, true},
+		{"arp", MarshalEth(EthHeader{Type: EtherTypeARP}, make([]byte, 28)), 0, 0, false},
+		{"short", frame(IPv4Header{Proto: ProtoUDP, Src: a, Dst: b}, nil)[:EthHeaderBytes+IPv4HeaderBytes-1], 0, 0, false},
+		{"bad version", func() []byte {
+			f := frame(IPv4Header{Proto: ProtoUDP, Src: a, Dst: b}, ports)
+			f[EthHeaderBytes] = 0x65
+			return f
+		}(), 0, 0, false},
+	} {
+		src, dst, sport, dport, ok := FrameFlow(tc.frame)
+		if ok != tc.ok || sport != tc.sport || dport != tc.dport || (ok && (src != a || dst != b)) {
+			t.Errorf("%s: FrameFlow = %v %v %d %d %v, want %v %v %d %d %v",
+				tc.name, src, dst, sport, dport, ok, a, b, tc.sport, tc.dport, tc.ok)
+		}
+	}
+	// The reply to a fragment leaves on the shard the fragment arrived on.
+	in := frame(IPv4Header{Proto: ProtoUDP, Src: a, Dst: b, MF: true}, ports)
+	out := frame(IPv4Header{Proto: ProtoUDP, Src: b, Dst: a, FragOff: 8}, ports)
+	is, id, isp, idp, _ := FrameFlow(in)
+	os, od, osp, odp, _ := FrameFlow(out)
+	for _, n := range []int{2, 4, 7, 16} {
+		if rx, tx := RXShard(is, id, isp, idp, n), TXShard(os, od, osp, odp, n); rx != tx {
+			t.Errorf("%d shards: fragment arrives on %d, reply fragment leaves on %d", n, rx, tx)
+		}
+	}
+}

@@ -36,10 +36,6 @@ type Config struct {
 	// kernel-stack hop for the full build, the trimmed-stack hop for the
 	// enclave build). Zero selects the model's KernelNetPerPacket.
 	PerPacketCost uint64
-	// GlobalLock routes all packet costs through one serialization
-	// resource, reproducing the original LWIP global-lock contention the
-	// paper removed (ablation; §4.2 implementation note).
-	GlobalLock bool
 	// Shards partitions the UDP demux tables and per-socket receive
 	// queues per RSS queue: InputShard(i) traffic only ever touches
 	// shard i's demux replica and shard i's queue of each socket, so N
@@ -66,9 +62,8 @@ type Stack struct {
 	tcp    *tcpTable
 	splice spliceTable
 
-	globalRes *vtime.Resource
-	ipID      atomic.Uint32
-	closed    atomic.Bool
+	ipID   atomic.Uint32
+	closed atomic.Bool
 }
 
 // New creates a stack bound to cfg.Dev.
@@ -97,9 +92,6 @@ func New(cfg Config) (*Stack, error) {
 	if cfg.EnableTCP {
 		s.tcp = newTCPTable(s, cfg.Shards, cfg.TCPCookies)
 	}
-	if cfg.GlobalLock {
-		s.globalRes = &vtime.Resource{}
-	}
 	return s, nil
 }
 
@@ -123,16 +115,6 @@ func (s *Stack) Close() {
 	}
 }
 
-// charge applies the per-packet processing cost to clk, serializing
-// through the global lock resource when the ablation flag is on.
-func (s *Stack) charge(clk *vtime.Clock, cost uint64) {
-	if s.globalRes != nil {
-		clk.SyncAs(s.globalRes.Use(clk.Now(), cost), vtime.CompStack)
-		return
-	}
-	clk.Charge(vtime.CompStack, cost)
-}
-
 // Input feeds one received Ethernet frame into the stack on shard 0. It
 // runs on the caller's (softirq or FM) virtual clock and never retains
 // frame.
@@ -148,7 +130,7 @@ func (s *Stack) InputShard(frame []byte, clk *vtime.Clock, shard int) {
 	if s.closed.Load() {
 		return
 	}
-	s.charge(clk, s.cfg.PerPacketCost)
+	clk.Charge(vtime.CompStack, s.cfg.PerPacketCost)
 	eth, payload, err := ParseEth(frame)
 	if err != nil {
 		return
@@ -241,40 +223,24 @@ func (s *Stack) resolve(dst IP4, clk *vtime.Clock) ([6]byte, error) {
 	return [6]byte{}, fmt.Errorf("%w: %v", ErrNoRoute, dst)
 }
 
-// sendIP encapsulates an L4 payload and transmits it, fragmenting to the
-// MTU when necessary. It returns the virtual time of the last fragment's
-// serialization.
+// sendIP resolves dst's MAC (emitting ARP requests as needed) and
+// transmits through sendIPTo.
 func (s *Stack) sendIP(proto byte, dst IP4, payload []byte, clk *vtime.Clock) (uint64, error) {
 	mac, err := s.resolve(dst, clk)
 	if err != nil {
 		return clk.Now(), err
 	}
-	h := IPv4Header{
-		ID:    uint16(s.ipID.Add(1)),
-		TTL:   64,
-		Proto: proto,
-		Src:   s.ip,
-		Dst:   dst,
-	}
-	end := clk.Now()
-	for _, pkt := range fragmentIPv4(h, payload, s.dev.MTU()) {
-		end, err = s.sendFrame(mac, EtherTypeIPv4, pkt, clk)
-		if err != nil {
-			return end, err
-		}
-	}
-	if s.cfg.Counters != nil {
-		s.cfg.Counters.PacketsTx.Add(1)
-	}
-	return end, nil
+	return s.sendIPTo(mac, proto, dst, payload, clk)
 }
 
-// sendIPTo is sendIP with the layer-2 destination already in hand: no
-// ARP lookup, no resolution stall, no neighbour-cache insertion. The
-// enclave TCP path uses it for every reply whose MAC came off the
-// triggering frame (SYN-cookie SYN|ACKs, RSTs to spoofed sources) and
-// for established flows with a cached peer MAC, so hostile traffic can
-// neither block an FM pump on resolution nor grow shared ARP state.
+// sendIPTo encapsulates an L4 payload and transmits it to a layer-2
+// destination already in hand, fragmenting to the MTU when necessary;
+// it returns the virtual time of the last fragment's serialization. No
+// ARP lookup, no resolution stall, no neighbour-cache insertion: the
+// enclave TCP path calls it directly for every reply whose MAC came off
+// the triggering frame (SYN-cookie SYN|ACKs, RSTs to spoofed sources)
+// and for established flows with a cached peer MAC, so hostile traffic
+// can neither block an FM pump on resolution nor grow shared ARP state.
 func (s *Stack) sendIPTo(mac [6]byte, proto byte, dst IP4, payload []byte, clk *vtime.Clock) (uint64, error) {
 	h := IPv4Header{
 		ID:    uint16(s.ipID.Add(1)),

@@ -3,7 +3,6 @@ package netstack
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
@@ -292,92 +291,6 @@ func TestICMPEcho(t *testing.T) {
 	cli.SendTo([]byte("after ping"), Addr{IP4{10, 0, 0, 2}, 5007}, &clk)
 	if _, err := srv.RecvTimeout(&clk, time.Second); err != nil {
 		t.Fatalf("stack unhealthy after ICMP exchange: %v", err)
-	}
-}
-
-func TestGlobalLockSerializesVirtualTime(t *testing.T) {
-	// With the global lock (the original-LWIP ablation), the stack's
-	// per-packet processing serializes across all receive queues; with
-	// sharded locks four softirq workers process four flows in parallel
-	// virtual time. Saturate four queues and compare the receive
-	// makespans.
-	const flows, per = 4, 150
-	run := func(global bool) uint64 {
-		m := vtime.Default()
-		da, db := netsim.NewPair(m,
-			netsim.Config{Name: "ga", MAC: [6]byte{2, 0, 0, 0, 2, 1}},
-			netsim.Config{Name: "gb", MAC: [6]byte{2, 0, 0, 0, 2, 2}, Queues: flows},
-		)
-		sa, err := New(Config{Name: "a", Dev: devLink{da}, IP: IP4{10, 2, 0, 1}, Model: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, err := New(Config{Name: "b", Dev: devLink{db}, IP: IP4{10, 2, 0, 2}, Model: m,
-			GlobalLock: global})
-		if err != nil {
-			t.Fatal(err)
-		}
-		da.Start(func(q int, f netsim.Frame, clk *vtime.Clock) { sa.Input(f.Data, clk) })
-		db.Start(func(q int, f netsim.Frame, clk *vtime.Clock) { sb.Input(f.Data, clk) })
-		// One flow per queue, by destination port.
-		db.SetRSS(func(data []byte, queues int) int {
-			if len(data) < 14+20+4 || data[23] != 17 {
-				return 0
-			}
-			dport := int(data[14+20+2])<<8 | int(data[14+20+3])
-			return dport % queues
-		})
-		defer func() { sa.Close(); sb.Close(); da.Close(); db.Close() }()
-
-		var socks []*UDPSocket
-		for i := 0; i < flows; i++ {
-			s, err := sb.UDPBind(uint16(6000 + i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			socks = append(socks, s)
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < flows; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c, _ := sa.UDPBind(0)
-				var clk vtime.Clock
-				for j := 0; j < per; j++ {
-					c.SendTo(make([]byte, 400), Addr{IP4{10, 2, 0, 2}, uint16(6000 + i)}, &clk)
-				}
-			}(i)
-		}
-		wg.Wait()
-		var makespan uint64
-		var mu sync.Mutex
-		var rg sync.WaitGroup
-		for i := 0; i < flows; i++ {
-			rg.Add(1)
-			go func(i int) {
-				defer rg.Done()
-				var clk vtime.Clock
-				for j := 0; j < per; j++ {
-					if _, err := socks[i].RecvTimeout(&clk, 2*time.Second); err != nil {
-						t.Errorf("recv flow %d: %v", i, err)
-						return
-					}
-				}
-				mu.Lock()
-				if clk.Now() > makespan {
-					makespan = clk.Now()
-				}
-				mu.Unlock()
-			}(i)
-		}
-		rg.Wait()
-		return makespan
-	}
-	sharded := run(false)
-	global := run(true)
-	if global < sharded*3/2 {
-		t.Fatalf("global-lock makespan %d should exceed sharded %d by >=1.5x", global, sharded)
 	}
 }
 

@@ -723,31 +723,6 @@ func (c *TCPSocket) Writable() bool {
 	return c.stateSendableLocked() && len(c.sndBuf) < sndBufCap
 }
 
-// WaitReadable blocks (in real time, up to d) until Readable.
-func (c *TCPSocket) WaitReadable(d time.Duration) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state == stateListen {
-		// Listener readability is backlog occupancy; poll it.
-		c.mu.Unlock()
-		deadline := time.Now().Add(d)
-		for {
-			if len(c.backlog) > 0 {
-				c.mu.Lock()
-				return true
-			}
-			if time.Now().After(deadline) {
-				c.mu.Lock()
-				return false
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	return c.waitLocked(func() bool {
-		return len(c.rcvBuf) > 0 || c.rcvClosed || c.err != nil
-	}, d)
-}
-
 // LocalAddr returns the bound address.
 func (c *TCPSocket) LocalAddr() Addr { return c.local }
 
@@ -1017,7 +992,7 @@ func (t *tcpTable) inputSeg(src IP4, seg tcpSeg, clk *vtime.Clock, shard int, et
 	l := d.listeners[seg.dstPort]
 	d.mu.RUnlock()
 
-	t.stack.charge(clk, t.stack.model.KernelTCPPerSegment)
+	clk.Charge(vtime.CompStack, t.stack.model.KernelTCPPerSegment)
 
 	if c != nil {
 		c.noteMAC(ethSrc)

@@ -283,8 +283,10 @@ func TestTCPAcceptNonblocking(t *testing.T) {
 		}
 	}()
 	<-done
-	if !l.WaitReadable(time.Second) {
-		t.Fatal("listener must become readable after connect")
+	for deadline := time.Now().Add(time.Second); !l.Readable(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("listener must become readable after connect")
+		}
 	}
 	if _, err := l.Accept(&clk, false); err != nil {
 		t.Fatalf("accept after connect = %v", err)

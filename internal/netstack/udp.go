@@ -287,12 +287,8 @@ func (s *Stack) inputUDP(h IPv4Header, payload, origPkt []byte, clk *vtime.Clock
 		return
 	}
 	// Socket-layer work. Per-socket locks are held for far less than a
-	// scheduling quantum, so sharded mode charges plain time; only the
-	// global-lock ablation serializes through a shared resource (via
-	// Stack.charge).
-	if s.globalRes == nil {
-		clk.Charge(vtime.CompStack, s.model.SocketOp)
-	}
+	// scheduling quantum, so it charges plain time.
+	clk.Charge(vtime.CompStack, s.model.SocketOp)
 	data := make([]byte, ulen-UDPHeaderBytes)
 	copy(data, payload[UDPHeaderBytes:ulen])
 	clk.Charge(vtime.CompCopy, vtime.Bytes(s.model.KernelCopyPerByte, len(data)))
@@ -410,10 +406,8 @@ func (u *UDPSocket) SendTo(payload []byte, dst Addr, clk *vtime.Clock) error {
 		return ErrClosed
 	}
 	s := u.stack
-	s.charge(clk, s.cfg.PerPacketCost)
-	if s.globalRes == nil {
-		clk.Charge(vtime.CompStack, s.model.SocketOp)
-	}
+	clk.Charge(vtime.CompStack, s.cfg.PerPacketCost)
+	clk.Charge(vtime.CompStack, s.model.SocketOp)
 	_, err := s.sendIP(ProtoUDP, dst.IP, u.buildDatagram(payload, dst), clk)
 	return err
 }
@@ -446,10 +440,8 @@ func (u *UDPSocket) SendToN(payloads [][]byte, dst Addr, clk *vtime.Clock) (int,
 	s := u.stack
 	dgrams := make([][]byte, n)
 	for i, p := range payloads[:n] {
-		s.charge(clk, s.cfg.PerPacketCost)
-		if s.globalRes == nil {
-			clk.Charge(vtime.CompStack, s.model.SocketOp)
-		}
+		clk.Charge(vtime.CompStack, s.cfg.PerPacketCost)
+		clk.Charge(vtime.CompStack, s.model.SocketOp)
 		dgrams[i] = u.buildDatagram(p, dst)
 	}
 	return s.sendIPBatch(ProtoUDP, dst.IP, dgrams, clk)
@@ -530,7 +522,7 @@ func (u *UDPSocket) RecvTimeout(clk *vtime.Clock, d time.Duration) (Datagram, er
 func (u *UDPSocket) finishRecv(d *Datagram, clk *vtime.Clock) {
 	s := u.stack
 	clk.Sync(d.Stamp)
-	s.charge(clk, s.model.SocketOp)
+	clk.Charge(vtime.CompStack, s.model.SocketOp)
 }
 
 // Readable reports whether a datagram is queued (poll support).

@@ -224,7 +224,7 @@ func (s *Stack) inputViewInPlace(v *mem.View, clk *vtime.Clock, shard int) bool 
 	// Mainstream: parse in place. From here on the packet is consumed
 	// exactly as the copy path would consume it — same charges, same
 	// counters, same drop points — minus the copies.
-	s.charge(clk, s.cfg.PerPacketCost)
+	clk.Charge(vtime.CompStack, s.cfg.PerPacketCost)
 	s.arp.learn(fi.srcIP, fi.ethSrc)
 	if s.cfg.Counters != nil {
 		s.cfg.Counters.PacketsRx.Add(1)
@@ -253,9 +253,7 @@ func (s *Stack) inputViewInPlace(v *mem.View, clk *vtime.Clock, shard int) bool 
 		s.spliceEcho(v, hdr, fi.ihl, fi.totalLen, clk, spliceDev)
 		return true
 	}
-	if s.globalRes == nil {
-		clk.Charge(vtime.CompStack, s.model.SocketOp)
-	}
+	clk.Charge(vtime.CompStack, s.model.SocketOp)
 	pv, err := v.Slice(udpOff+UDPHeaderBytes, fi.ulen-UDPHeaderBytes)
 	if err != nil {
 		v.Release()
@@ -280,7 +278,7 @@ func (s *Stack) inputViewTCP(v *mem.View, hdr mem.Snap, fi viewFrameInfo, clk *v
 		return false // trimmed UDP-only build: fallback path drops it
 	}
 	l4Off := EthHeaderBytes + fi.ihl
-	s.charge(clk, s.cfg.PerPacketCost)
+	clk.Charge(vtime.CompStack, s.cfg.PerPacketCost)
 	if s.cfg.Counters != nil {
 		s.cfg.Counters.PacketsRx.Add(1)
 		s.cfg.Counters.BytesRx.Add(uint64(fi.l4len))

@@ -5,8 +5,9 @@
 // It has three parts, as in the paper:
 //
 //   - The in-enclave UDP/IP stack: a trimmed netstack configuration
-//     (UDP-only — the LWIP 80K→5K cut) whose link device round-robins
-//     outgoing frames across the XSK FastPath Modules.
+//     (the LWIP 80K→5K cut) whose link device, XskLink, sends every
+//     outgoing frame — scalar or vectored — down one path onto the XSK
+//     FastPath Module its flow's inbound packets arrive on.
 //   - The SyncProxy: a thin per-thread stub that forwards the five
 //     io_uring-served syscalls to a UringFM and blocks for the result.
 //   - The API submodule: routes syscalls to the right IO provider and
@@ -18,7 +19,6 @@ package sm
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -31,79 +31,42 @@ import (
 )
 
 // XskLink exposes a set of XSK FastPath Modules as the enclave stack's
-// layer-2 device. TX is flow-affine: each outgoing IPv4/UDP frame is
-// hashed with the reversed netstack.FlowHash tuple, which by the RSS
-// consistency invariant is exactly the queue its flow's inbound packets
-// arrive on — so a flow's RX, stack processing, and TX all stay on one
-// shard and the per-shard TX queues and flush locks never see
-// cross-shard traffic. Frames with no flow identity (ARP, non-IPv4)
-// hand off to shard 0, matching the steering program's ARP-on-queue-0
-// rule. The retained round-robin mode is the pre-shard ablation.
+// layer-2 device. TX is flow-affine: each outgoing frame is hashed with
+// the reversed netstack.FlowHash tuple, which by the RSS consistency
+// invariant is exactly the queue its flow's inbound packets arrive on —
+// so a flow's RX, stack processing, and TX all stay on one shard.
+// Frames with no flow identity (ARP, non-IPv4) hand off to shard 0,
+// matching the steering program's ARP-on-queue-0 rule.
 //
-// Scalar SendFrame calls from unmodified callers fan into opportunistic
-// batches: each call enqueues its frame on its shard and whichever
-// caller wins that shard's flush lock drains everything queued there
-// into one SendBatch run — so an uncontended caller flushes a batch of
-// one immediately (scalar-identical behaviour), while concurrent
-// senders of the same shard amortize the ring lock, certification pass,
-// and MM wakeup without anyone ever blocking to wait for a batch to
-// fill.
+// There is one TX path: every frame, scalar or vectored, goes through
+// sendBatchRetry into its shard's xsk.Socket.SendBatch. A scalar
+// SendFrame is a run of one. Concurrent senders of one shard serialize
+// on the socket's own lock; nothing queues frames in between (DESIGN.md,
+// "Batched fast path", records why the former coalescer was removed).
 type XskLink struct {
 	socks []*xsk.Socket
-	next  atomic.Uint32
 	mac   [6]byte
 	mtu   int
 
-	shards     []linkShard
-	roundRobin bool
+	// txPkts counts the frames each shard's lane has transmitted.
+	txPkts []atomic.Uint64
 
-	// tuning, when non-nil, tells the send ladder which wakeup mode is
-	// in effect: under busy-poll the kernel worker drains xTX every few
-	// microseconds, so a full-ring retry sleeps at poll scale instead of
-	// climbing the long need-wakeup backoff.
-	tuning *tuner.State
-	// shardTuning, when set, gives each shard's ladder its own mode
-	// cell so a busy-polled hot queue backs off at poll scale while its
-	// idle neighbours keep the long need-wakeup ladder.
+	// shardTuning gives each shard's full-ring ladder its wakeup mode
+	// cell: under busy-poll the kernel worker drains xTX every few
+	// microseconds, so a busy-polled hot queue backs off at poll scale
+	// while its idle neighbours keep the long need-wakeup ladder.
 	shardTuning []*tuner.State
 }
 
-// linkShard is one XSK queue's TX state: its coalescing queue, its
-// flush lock, and its transmit counter.
-type linkShard struct {
-	txq     chan txReq
-	flushMu sync.Mutex
-	txPkts  atomic.Uint64
-}
-
-// txReq is one queued scalar SendFrame awaiting a batched flush.
-type txReq struct {
-	data []byte
-	res  chan error
-}
-
-// txQueueCap bounds each shard's scalar-call coalescing queue.
-// Enqueuers double as flushers, so a full queue only ever means a flush
-// is in progress.
-const txQueueCap = 256
-
 // NewXskLink bundles the XSKs behind one link device.
 func NewXskLink(socks []*xsk.Socket, mac [6]byte, mtu int) *XskLink {
-	l := &XskLink{
+	return &XskLink{
 		socks:  socks,
 		mac:    mac,
 		mtu:    mtu,
-		shards: make([]linkShard, len(socks)),
+		txPkts: make([]atomic.Uint64, len(socks)),
 	}
-	for i := range l.shards {
-		l.shards[i].txq = make(chan txReq, txQueueCap)
-	}
-	return l
 }
-
-// SetRoundRobin reverts TX queue selection to the pre-shard round-robin
-// (the flow-affinity ablation). Call before traffic starts.
-func (l *XskLink) SetRoundRobin(on bool) { l.roundRobin = on }
 
 // SetShardTuning installs per-shard tuner states (index-aligned with
 // the sockets). Call before traffic starts.
@@ -111,93 +74,79 @@ func (l *XskLink) SetShardTuning(states []*tuner.State) { l.shardTuning = states
 
 // ShardTx returns the number of frames shard i has transmitted.
 func (l *XskLink) ShardTx(i int) uint64 {
-	if i < 0 || i >= len(l.shards) {
+	if i < 0 || i >= len(l.txPkts) {
 		return 0
 	}
-	return l.shards[i].txPkts.Load()
+	return l.txPkts[i].Load()
 }
 
-// shardState returns the tuner cell steering shard i's send ladder.
-func (l *XskLink) shardState(i int) *tuner.State {
-	if i >= 0 && i < len(l.shardTuning) {
-		return l.shardTuning[i]
-	}
-	return l.tuning
-}
-
-// txShard picks the TX queue for one frame. Flow-affine mode parses the
-// IPv4 L4 header the enclave stack just built and hashes the reversed
-// flow tuple — the shard the peer's packets arrive on. UDP and TCP both
-// carry their port pair at the same offsets, so a TCP connection's
-// entire output (handshake replies, data, ACKs, retransmits) rides the
-// same lane its inbound segments arrive on. Anything without a flow
-// identity (ARP, other protocols) goes to shard 0, whose queue also
-// carries inbound ARP. Round-robin mode rotates, as the pre-shard link
-// did.
+// txShard picks the TX queue for one frame: the hash of the reversed
+// flow tuple of the header the enclave stack just built — the shard the
+// peer's packets arrive on. UDP and TCP both carry their port pair at
+// the same offsets, so a TCP connection's entire output (handshake
+// replies, data, ACKs, retransmits) rides the same lane its inbound
+// segments arrive on, and the fragments of one datagram ride one lane
+// (netstack.FrameFlow keys them by address pair). Anything without a
+// flow identity (ARP, non-IPv4) goes to shard 0, whose queue also
+// carries inbound ARP.
 func (l *XskLink) txShard(frame []byte) int {
 	n := len(l.socks)
 	if n <= 1 {
 		return 0
 	}
-	if l.roundRobin {
-		return int(l.next.Add(1)) % n
-	}
-	const ethHdr = 14
-	if len(frame) < ethHdr+20 || frame[12] != 0x08 || frame[13] != 0x00 {
+	src, dst, sport, dport, ok := netstack.FrameFlow(frame)
+	if !ok {
 		return 0
 	}
-	ip := frame[ethHdr:]
-	if ip[0]>>4 != 4 {
-		return 0
-	}
-	ihl := int(ip[0]&0x0F) * 4
-	if ihl < 20 || (ip[9] != 17 && ip[9] != 6) || len(frame) < ethHdr+ihl+4 {
-		return 0
-	}
-	var src, dst netstack.IP4
-	copy(src[:], ip[12:16])
-	copy(dst[:], ip[16:20])
-	sport := uint16(ip[ihl])<<8 | uint16(ip[ihl+1])
-	dport := uint16(ip[ihl+2])<<8 | uint16(ip[ihl+3])
 	return netstack.TXShard(src, dst, sport, dport, n)
 }
 
-// sendRetryMax bounds SendFrame's retries on a full ring. Transient
-// fullness has two causes: genuine wire backpressure (completions land
-// within the backoff) and a scribbled shared control word quarantining
-// the ring — each retry's certified refresh counts toward the
+// sendRetryMax bounds the retries on a full TX ring. Transient fullness
+// has two causes: genuine wire backpressure (completions land within the
+// backoff) and a scribbled shared control word quarantining the ring —
+// each retry's certified refresh counts toward the
 // quarantine-and-resync threshold, so the ring heals within the first
 // few attempts. Fullness that survives all retries means the wire really
 // is the bottleneck, and the frame drops like a NIC queue overflow.
 const sendRetryMax = 8
 
-// SendFrame publishes one frame on xTX through the opportunistic batch
-// coalescer: the frame is queued, and the caller either wins the flush
-// lock and drains the whole queue in one SendBatch run, or spins briefly
-// while a concurrent flusher carries its frame out. Either way the call
-// returns once this frame's outcome is known — it never waits for more
-// frames to accumulate.
-func (l *XskLink) SendFrame(data []byte, clk *vtime.Clock) (uint64, error) {
-	shard := l.txShard(data)
-	sh := &l.shards[shard]
-	req := txReq{data: data, res: make(chan error, 1)}
-	sh.txq <- req
-	for {
-		select {
-		case err := <-req.res:
-			return clk.Now(), err
-		default:
-		}
-		if sh.flushMu.TryLock() {
-			l.flushQueued(shard, clk)
-			sh.flushMu.Unlock()
-		}
-		select {
-		case err := <-req.res:
-			return clk.Now(), err
-		case <-time.After(20 * time.Microsecond):
-		}
+// txLadder is the full-ring recovery ladder one send climbs: reap
+// completions, sleep, double the sleep up to the shard's ceiling.
+type txLadder struct {
+	sock          *xsk.Socket
+	attempt       int
+	backoff, ceil time.Duration
+}
+
+func (l *XskLink) ladder(shard int) txLadder {
+	ld := txLadder{sock: l.socks[shard], backoff: 10 * time.Microsecond, ceil: 320 * time.Microsecond}
+	if shard < len(l.shardTuning) && l.shardTuning[shard].BusyPoll() {
+		ld.ceil = 20 * time.Microsecond
 	}
+	return ld
+}
+
+// step climbs one rung, reporting false once sendRetryMax are spent.
+func (ld *txLadder) step(clk *vtime.Clock) bool {
+	if ld.attempt >= sendRetryMax {
+		return false
+	}
+	ld.attempt++
+	ld.sock.Reap(clk)
+	time.Sleep(ld.backoff)
+	if ld.backoff < ld.ceil {
+		ld.backoff *= 2
+	}
+	return true
+}
+
+// SendFrame publishes one frame on its shard's xTX: a one-element run
+// through the same path as SendFrames, charged to the caller's clock.
+func (l *XskLink) SendFrame(data []byte, clk *vtime.Clock) (uint64, error) {
+	frames := [1][]byte{data}
+	var errs [1]error
+	l.sendBatchRetry(l.txShard(data), frames[:], errs[:], clk)
+	return clk.Now(), errs[0]
 }
 
 // SendFrames transmits a run of frames as one batched publish per ring
@@ -208,120 +157,59 @@ func (l *XskLink) SendFrame(data []byte, clk *vtime.Clock) (uint64, error) {
 // reported only when the first frame fails.
 func (l *XskLink) SendFrames(frames [][]byte, clk *vtime.Clock) (uint64, error) {
 	errs := make([]error, len(frames))
-	if l.roundRobin || len(l.socks) == 1 {
-		// Ablation/single-queue: whole run on one rotating socket, as
-		// the pre-shard link sent it.
-		shard := 0
-		if l.roundRobin && len(l.socks) > 1 {
-			shard = int(l.next.Add(1)) % len(l.socks)
+	first := l.txShard(frames[0])
+	var shards []int // allocated only once a second shard shows up
+	for i := 1; i < len(frames); i++ {
+		s := l.txShard(frames[i])
+		if shards == nil && s != first {
+			shards = make([]int, len(frames))
+			for j := 0; j < i; j++ {
+				shards[j] = first
+			}
 		}
-		l.sendBatchRetry(shard, frames, errs, clk)
+		if shards != nil {
+			shards[i] = s
+		}
+	}
+	if shards == nil {
+		l.sendBatchRetry(first, frames, errs, clk)
 	} else {
-		first := l.txShard(frames[0])
-		uniform := true
-		var shards []int
-		for i := 1; i < len(frames); i++ {
-			s := l.txShard(frames[i])
-			if s != first {
-				if uniform {
-					shards = make([]int, len(frames))
-					for j := 0; j < i; j++ {
-						shards[j] = first
-					}
-					uniform = false
+		// Mixed run: send each shard's subsequence as its own batch,
+		// preserving per-flow order (a flow only ever has one shard).
+		for sh := range l.socks {
+			var sub [][]byte
+			var idx []int
+			for i, s := range shards {
+				if s == sh {
+					sub = append(sub, frames[i])
+					idx = append(idx, i)
 				}
 			}
-			if !uniform {
-				shards[i] = s
+			if len(sub) == 0 {
+				continue
 			}
-		}
-		if uniform {
-			l.sendBatchRetry(first, frames, errs, clk)
-		} else {
-			// Mixed run: send each shard's subsequence as its own batch,
-			// preserving per-flow order (a flow only ever has one shard).
-			for sh := 0; sh < len(l.socks); sh++ {
-				var sub [][]byte
-				var idx []int
-				for i, s := range shards {
-					if s == sh {
-						sub = append(sub, frames[i])
-						idx = append(idx, i)
-					}
-				}
-				if len(sub) == 0 {
-					continue
-				}
-				subErrs := make([]error, len(sub))
-				l.sendBatchRetry(sh, sub, subErrs, clk)
-				for j, i := range idx {
-					errs[i] = subErrs[j]
-				}
+			subErrs := make([]error, len(sub))
+			l.sendBatchRetry(sh, sub, subErrs, clk)
+			for j, i := range idx {
+				errs[i] = subErrs[j]
 			}
 		}
 	}
-	for i, err := range errs {
-		if err != nil {
-			if i == 0 {
-				return clk.Now(), err
-			}
-			break
-		}
-	}
-	return clk.Now(), nil
-}
-
-// flushQueued drains every scalar frame queued on one shard into
-// batched sends, delivering each frame's outcome on its result channel.
-// Caller holds that shard's flushMu.
-func (l *XskLink) flushQueued(shard int, clk *vtime.Clock) {
-	sh := &l.shards[shard]
-	for {
-		var batch []txReq
-	drain:
-		for len(batch) < txQueueCap {
-			select {
-			case r := <-sh.txq:
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		if len(batch) == 0 {
-			return
-		}
-		frames := make([][]byte, len(batch))
-		for i, r := range batch {
-			frames[i] = r.data
-		}
-		errs := make([]error, len(frames))
-		l.sendBatchRetry(shard, frames, errs, clk)
-		for i, r := range batch {
-			r.res <- errs[i]
-		}
-	}
+	return clk.Now(), errs[0]
 }
 
 // sendBatchRetry pushes a frame run through one shard's SendBatch,
-// riding out transient fullness with the same reap-and-backoff ladder as
-// the old scalar path (each retry's certified refresh also counts toward
-// quarantine-and-resync, healing a scribbled control word). Frames still
+// riding out transient fullness on the shard's txLadder. Frames still
 // unsent after the ladder drop like a NIC queue overflow; per-frame
 // outcomes land positionally in errs.
 func (l *XskLink) sendBatchRetry(shard int, frames [][]byte, errs []error, clk *vtime.Clock) {
 	s := l.socks[shard]
-	st := l.shardState(shard)
+	ld := l.ladder(shard)
 	sent := 0
-	backoff := 10 * time.Microsecond
-	maxBackoff := 320 * time.Microsecond
-	if st.BusyPoll() {
-		maxBackoff = 20 * time.Microsecond
-	}
-	attempt := 0
 	for sent < len(frames) {
 		n, err := s.SendBatch(frames[sent:], clk)
 		if n > 0 {
-			l.shards[shard].txPkts.Add(uint64(n))
+			l.txPkts[shard].Add(uint64(n))
 		}
 		sent += n
 		if sent == len(frames) {
@@ -334,63 +222,44 @@ func (l *XskLink) sendBatchRetry(shard int, frames [][]byte, errs []error, clk *
 			sent++
 			continue
 		}
-		if attempt >= sendRetryMax {
+		if !ld.step(clk) {
+			if err == nil {
+				err = xsk.ErrRingFull
+			}
 			for i := sent; i < len(frames); i++ {
-				if err != nil {
-					errs[i] = err
-				} else {
-					errs[i] = xsk.ErrRingFull
-				}
+				errs[i] = err
 			}
 			break
-		}
-		attempt++
-		s.Reap(clk)
-		time.Sleep(backoff)
-		if backoff < maxBackoff {
-			backoff *= 2
 		}
 	}
 }
 
-// SetTuning couples the link's send ladder to the shared tuner state.
-// Call before traffic starts.
-func (l *XskLink) SetTuning(st *tuner.State) { l.tuning = st }
-
 // SpliceFrame re-queues a certified RX frame view onto the TX ring of
-// the socket that owns its UMem frame — a frame can only be spliced
-// within its own XSK, never across the round-robin set — riding out
-// transient TX fullness with the same reap-and-backoff ladder as the
-// copied send path. It implements netstack.SpliceDevice for the
-// in-place echo path.
+// the socket that owns its UMem frame — a splice is inherently
+// shard-affine, the frame never leaves its owning XSK — riding out
+// transient TX fullness on the same ladder as the copied send path. It
+// implements netstack.SpliceDevice for the in-place echo path.
 func (l *XskLink) SpliceFrame(v *mem.View, n uint32, clk *vtime.Clock) error {
-	sock, ok := v.Owner().(*xsk.Socket)
-	if !ok {
-		return fmt.Errorf("sm: view not backed by an XSK socket")
+	shard := -1
+	for i, s := range l.socks {
+		if v.Owner() == mem.ViewOwner(s) {
+			shard = i
+			break
+		}
 	}
-	backoff := 10 * time.Microsecond
-	var err error
-	for attempt := 0; attempt <= sendRetryMax; attempt++ {
-		if err = sock.SpliceFrame(v, n, clk); err != xsk.ErrRingFull {
-			if err == nil {
-				// A splice is inherently shard-affine (the frame never
-				// leaves its owning XSK); find the shard for its counter.
-				for i, s := range l.socks {
-					if s == sock {
-						l.shards[i].txPkts.Add(1)
-						break
-					}
-				}
-			}
+	if shard < 0 {
+		return fmt.Errorf("sm: view not backed by an XSK socket of this link")
+	}
+	ld := l.ladder(shard)
+	for {
+		err := ld.sock.SpliceFrame(v, n, clk)
+		if err == nil {
+			l.txPkts[shard].Add(1)
+		}
+		if err != xsk.ErrRingFull || !ld.step(clk) {
 			return err
 		}
-		sock.Reap(clk)
-		time.Sleep(backoff)
-		if backoff < 320*time.Microsecond {
-			backoff *= 2
-		}
 	}
-	return err
 }
 
 // MAC returns the interface hardware address.
@@ -406,7 +275,7 @@ func (l *XskLink) MTU() int { return l.mtu }
 // and proxied TCP through io_uring); when enabled the listen path runs
 // stateless SYN cookies, since an enclave port is open-internet-facing
 // and must hold no state for unproven peers.
-func NewEnclaveStack(link *XskLink, ip netstack.IP4, model *vtime.Model, counters *vtime.Counters, globalLock, enableTCP bool) (*netstack.Stack, error) {
+func NewEnclaveStack(link *XskLink, ip netstack.IP4, model *vtime.Model, counters *vtime.Counters, enableTCP bool) (*netstack.Stack, error) {
 	if model == nil {
 		model = vtime.Default()
 	}
@@ -420,7 +289,6 @@ func NewEnclaveStack(link *XskLink, ip netstack.IP4, model *vtime.Model, counter
 		TCPCookies:    enableTCP,
 		EnableICMP:    false,
 		PerPacketCost: model.EnclaveStackPerPacket,
-		GlobalLock:    globalLock,
 		Shards:        len(link.socks),
 	})
 }

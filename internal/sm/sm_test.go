@@ -1,6 +1,10 @@
 package sm
 
 import (
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,7 +15,9 @@ import (
 	"rakis/internal/mm"
 	"rakis/internal/netsim"
 	"rakis/internal/netstack"
+	"rakis/internal/ring"
 	"rakis/internal/vtime"
+	"rakis/internal/xsk"
 )
 
 type fixture struct {
@@ -201,4 +207,313 @@ func buildUDPFrame(src, dst netstack.IP4, sport, dport uint16, payload []byte) [
 		Dst: [6]byte{2, 0, 0, 0, 0, 3}, Src: [6]byte{2, 0, 0, 0, 0, 1},
 		Type: netstack.EtherTypeIPv4,
 	}, ip)
+}
+
+// linkRig is an XskLink over sockets attached straight to a simulated
+// address space, with the test playing the kernel's end of each xTX and
+// xCompl ring.
+type linkRig struct {
+	sp     *mem.Space
+	link   *XskLink
+	socks  []*xsk.Socket
+	setups []xsk.Setup
+	kTX    []*ring.Ring
+	kCompl []*ring.Ring
+	ctrs   *vtime.Counters
+}
+
+const rigFrameSize = 2048
+
+func newLinkRig(t *testing.T, nsocks int, ringSize, frames uint32) *linkRig {
+	t.Helper()
+	r := &linkRig{sp: mem.NewSpace(1<<16, 1<<24), ctrs: &vtime.Counters{}}
+	alloc := func(n uint64) mem.Addr {
+		a, err := r.sp.Alloc(mem.Untrusted, n, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	hostRing := func(base mem.Addr, entry uint32, side ring.Side) *ring.Ring {
+		k, err := ring.New(ring.Config{Space: r.sp, Access: mem.RoleHost, Base: base,
+			Size: ringSize, EntrySize: entry, Side: side})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	for i := 0; i < nsocks; i++ {
+		s := xsk.Setup{
+			FD:        3 + i,
+			FillBase:  alloc(ring.TotalBytes(ringSize, xsk.FillEntryBytes)),
+			RXBase:    alloc(ring.TotalBytes(ringSize, xsk.DescBytes)),
+			TXBase:    alloc(ring.TotalBytes(ringSize, xsk.DescBytes)),
+			ComplBase: alloc(ring.TotalBytes(ringSize, xsk.FillEntryBytes)),
+			UMemBase:  alloc(uint64(frames) * rigFrameSize),
+		}
+		sock, err := xsk.Attach(xsk.Config{Space: r.sp, Setup: s, RingSize: ringSize,
+			FrameSize: rigFrameSize, FrameCount: frames, Counters: r.ctrs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.socks = append(r.socks, sock)
+		r.setups = append(r.setups, s)
+		r.kTX = append(r.kTX, hostRing(s.TXBase, xsk.DescBytes, ring.Consumer))
+		r.kCompl = append(r.kCompl, hostRing(s.ComplBase, xsk.FillEntryBytes, ring.Producer))
+	}
+	r.link = NewXskLink(r.socks, [6]byte{2, 0, 0, 0, 0, 9}, 1500)
+	return r
+}
+
+// drain plays the kernel on shard i: it consumes the queued xTX
+// descriptors xCompl has room to complete, returns the transmitted
+// frames in ring order, and completes them on xCompl.
+func (r *linkRig) drain(t *testing.T, i int) [][]byte {
+	avail, err := r.kTX[i].Available()
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	if room, _ := r.kCompl[i].Free(); room < avail {
+		avail = room
+	}
+	var out [][]byte
+	for j := uint32(0); j < avail; j++ {
+		slot, _ := r.kTX[i].SlotBytes(j)
+		d := xsk.GetDesc(slot)
+		b, err := r.sp.Bytes(mem.RoleHost, r.setups[i].UMemBase+mem.Addr(d.Addr), uint64(d.Len))
+		if err != nil {
+			t.Error(err)
+			return out
+		}
+		out = append(out, append([]byte(nil), b...))
+		r.kCompl[i].WriteU64(j, d.Addr)
+	}
+	r.kTX[i].Release(avail)
+	r.kCompl[i].Submit(avail, 0)
+	return out
+}
+
+// udpFragment builds an Ethernet/IPv4 frame carrying l4 as the piece of
+// a UDP datagram at byte offset off.
+func udpFragment(src, dst netstack.IP4, off uint16, more bool, l4 []byte) []byte {
+	pkt := netstack.MarshalIPv4(netstack.IPv4Header{ID: 7, Proto: netstack.ProtoUDP,
+		Src: src, Dst: dst, MF: more, FragOff: off}, l4)
+	return netstack.MarshalEth(netstack.EthHeader{Dst: [6]byte{2, 0, 0, 0, 0, 1},
+		Src: [6]byte{2, 0, 0, 0, 0, 9}, Type: netstack.EtherTypeIPv4}, pkt)
+}
+
+// TestSendFrameIsBatchOfOne: a scalar SendFrame and a one-frame
+// SendFrames are the same send — same ring indices, same descriptor,
+// same counters, same charge to the caller's clock.
+func TestSendFrameIsBatchOfOne(t *testing.T) {
+	frame := udpFragment(netstack.IP4{10, 0, 0, 3}, netstack.IP4{10, 0, 0, 1}, 0, false,
+		append([]byte{0, 7, 0x9c, 0x40, 0, 72, 0, 0}, make([]byte, 64)...))
+	type outcome struct {
+		end, now         uint64 // returned time, caller's clock after the send
+		local, prod      uint32
+		desc             xsk.Desc
+		shardTx          uint64
+		pkts, bytes      uint64
+		calls, batched   uint64
+		umemFree, txFree uint32
+		wire             string
+	}
+	run := func(send func(l *XskLink, clk *vtime.Clock) (uint64, error)) outcome {
+		r := newLinkRig(t, 1, 8, 16)
+		var clk vtime.Clock
+		end, err := send(r.link, &clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.socks[0]
+		slot, _ := r.kTX[0].SlotBytes(0)
+		free, _ := s.TX.Free()
+		o := outcome{end: end, now: clk.Now(), local: s.TX.Local(), prod: s.TX.ProducerValue(),
+			desc: xsk.GetDesc(slot), shardTx: r.link.ShardTx(0),
+			pkts: r.ctrs.PacketsTx.Load(), bytes: r.ctrs.BytesTx.Load(),
+			calls: r.ctrs.BatchCalls.Load(), batched: r.ctrs.BatchedMsgs.Load(),
+			umemFree: uint32(s.UMem.FreeFrames()), txFree: free}
+		if sent := r.drain(t, 0); len(sent) != 1 {
+			t.Fatalf("%d frames on the wire, want 1", len(sent))
+		} else {
+			o.wire = string(sent[0])
+		}
+		return o
+	}
+	scalar := run(func(l *XskLink, clk *vtime.Clock) (uint64, error) { return l.SendFrame(frame, clk) })
+	vector := run(func(l *XskLink, clk *vtime.Clock) (uint64, error) { return l.SendFrames([][]byte{frame}, clk) })
+	if scalar != vector {
+		t.Fatalf("scalar and one-frame vectored sends differ:\n scalar %+v\n vector %+v", scalar, vector)
+	}
+	if scalar.local != 1 || scalar.prod != 1 || scalar.shardTx != 1 || scalar.pkts != 1 ||
+		scalar.desc.Len != uint32(len(frame)) || scalar.wire != string(frame) || scalar.now == 0 {
+		t.Fatalf("one frame sent, but the ring saw %+v", scalar)
+	}
+}
+
+// TestConcurrentScalarSendsDeliverOnceInOrder: N goroutines each issue M
+// scalar SendFrames on one shard while the kernel side drains the ring.
+// Every frame must reach the wire exactly once, and each goroutine's
+// frames in the order it sent them. (-race checks the socket lock is all
+// the serialization the path needs. The ring is deep enough that no
+// sender can lose the race for a free slot sendRetryMax times running —
+// that legitimate drop is TestRingThatStaysFullDropsAfterLadder's.)
+func TestConcurrentScalarSendsDeliverOnceInOrder(t *testing.T) {
+	const senders, perSender = 8, 200
+	r := newLinkRig(t, 1, 256, 1024)
+	stop := make(chan struct{})
+	var wire [][]byte
+	var kernel sync.WaitGroup
+	kernel.Add(1)
+	go func() {
+		defer kernel.Done()
+		for {
+			wire = append(wire, r.drain(t, 0)...)
+			select {
+			case <-stop:
+				wire = append(wire, r.drain(t, 0)...)
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var clk vtime.Clock
+			for k := 0; k < perSender; k++ {
+				frame := make([]byte, 64)
+				binary.BigEndian.PutUint32(frame[56:], uint32(g))
+				binary.BigEndian.PutUint32(frame[60:], uint32(k))
+				if _, err := r.link.SendFrame(frame, &clk); err != nil {
+					t.Errorf("sender %d frame %d: %v", g, k, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	kernel.Wait()
+
+	if len(wire) != senders*perSender {
+		t.Fatalf("%d frames on the wire, want %d", len(wire), senders*perSender)
+	}
+	next := make([]uint32, senders)
+	for _, f := range wire {
+		g, k := binary.BigEndian.Uint32(f[56:]), binary.BigEndian.Uint32(f[60:])
+		if g >= senders || k != next[g] {
+			t.Fatalf("sender %d: frame %d on the wire, want its frame %d next", g, k, next[g])
+		}
+		next[g]++
+	}
+	if got := r.link.ShardTx(0); got != senders*perSender {
+		t.Fatalf("ShardTx = %d, want %d", got, senders*perSender)
+	}
+}
+
+// TestOversizedFrameMidRunIsPositional: a frame the ring can never take
+// gets its own error at its own index, and the frames around it go out.
+func TestOversizedFrameMidRunIsPositional(t *testing.T) {
+	r := newLinkRig(t, 1, 8, 16)
+	frames := [][]byte{{1}, {2}, make([]byte, rigFrameSize+1), {4}}
+	errs := make([]error, len(frames))
+	var clk vtime.Clock
+	r.link.sendBatchRetry(0, frames, errs, &clk)
+	for i, err := range errs {
+		if want := i == 2; errors.Is(err, xsk.ErrTooBig) != want || (err != nil) != want {
+			t.Errorf("frame %d: err = %v", i, err)
+		}
+	}
+	sent := r.drain(t, 0)
+	if len(sent) != 3 || sent[0][0] != 1 || sent[1][0] != 2 || sent[2][0] != 4 {
+		t.Fatalf("wire carries %v, want frames 1, 2, 4 in order", sent)
+	}
+	if got := r.link.ShardTx(0); got != 3 {
+		t.Fatalf("ShardTx = %d, want 3", got)
+	}
+}
+
+// TestRingThatStaysFullDropsAfterLadder: with no kernel draining xTX, a
+// send climbs the whole reap-and-backoff ladder (sendRetryMax rungs,
+// 10 µs doubling to the 320 µs ceiling) and then drops with ErrRingFull,
+// leaving the ring and counters untouched.
+func TestRingThatStaysFullDropsAfterLadder(t *testing.T) {
+	r := newLinkRig(t, 1, 8, 32)
+	var clk vtime.Clock
+	for i := 0; i < 8; i++ {
+		if _, err := r.link.SendFrame([]byte{byte(i)}, &clk); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	var ladder time.Duration
+	for rung, d := 0, 10*time.Microsecond; rung < sendRetryMax; rung++ {
+		ladder += d
+		if d < 320*time.Microsecond {
+			d *= 2
+		}
+	}
+	start := time.Now()
+	_, err := r.link.SendFrame([]byte{8}, &clk)
+	if !errors.Is(err, xsk.ErrRingFull) {
+		t.Fatalf("err = %v, want ErrRingFull", err)
+	}
+	if el := time.Since(start); el < ladder {
+		t.Fatalf("gave up after %v, before the %v ladder was climbed", el, ladder)
+	}
+	if r.socks[0].TX.Local() != 8 || r.link.ShardTx(0) != 8 || r.ctrs.PacketsTx.Load() != 8 {
+		t.Fatalf("dropped frame left a trace: local=%d shardTx=%d pkts=%d",
+			r.socks[0].TX.Local(), r.link.ShardTx(0), r.ctrs.PacketsTx.Load())
+	}
+	// The kernel catches up: the next send goes out.
+	r.drain(t, 0)
+	if _, err := r.link.SendFrame([]byte{9}, &clk); err != nil {
+		t.Fatalf("send after drain: %v", err)
+	}
+}
+
+// TestFragmentsLeaveOnOneLane: every fragment of one datagram must leave
+// on the lane the flow's address pair selects. The later fragments carry
+// payload where the first carries the UDP ports; the bytes here are
+// chosen so that reading them as ports scatters the pieces over both
+// lanes.
+func TestFragmentsLeaveOnOneLane(t *testing.T) {
+	src, dst := netstack.IP4{10, 0, 0, 3}, netstack.IP4{10, 0, 0, 1}
+	r := newLinkRig(t, 2, 8, 16)
+	lane := netstack.TXShard(src, dst, 0, 0, 2)
+	// portsFor returns four bytes that, hashed as a port pair, select
+	// the given lane.
+	portsFor := func(want int) []byte {
+		for p := uint16(1); p != 0; p++ {
+			if netstack.TXShard(src, dst, p, 7, 2) == want {
+				return []byte{byte(p >> 8), byte(p), 0, 7}
+			}
+		}
+		t.Fatalf("no port pair selects lane %d", want)
+		return nil
+	}
+	piece := func(ports []byte, rest string) []byte { return append(append([]byte(nil), ports...), rest...) }
+	frags := [][]byte{
+		udpFragment(src, dst, 0, true, piece(portsFor(1-lane), "\x00\x18\x00\x00aaaaaaaa")),
+		udpFragment(src, dst, 16, true, piece(portsFor(lane), "bbbb")),
+		udpFragment(src, dst, 24, false, piece(portsFor(1-lane), "cccc")),
+	}
+	var clk vtime.Clock
+	// Vectored and scalar sends take the same lane decision.
+	if _, err := r.link.SendFrames(frags, &clk); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range frags {
+		if _, err := r.link.SendFrame(f, &clk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, stray := r.link.ShardTx(lane), r.link.ShardTx(1-lane); got != 6 || stray != 0 {
+		t.Fatalf("lane %d carried %d fragments and lane %d carried %d, want all 6 on lane %d",
+			lane, got, 1-lane, stray, lane)
+	}
 }

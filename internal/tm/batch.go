@@ -8,7 +8,7 @@ import (
 )
 
 // This file extends the Testing Module to the batched ring discipline the
-// SendBatch/RecvBatch/SubmitN fast paths follow (§4.1 applied to whole
+// SendBatch/RecvViews/SubmitN fast paths follow (§4.1 applied to whole
 // descriptor runs): ONE certified count read sizes the run, up to k slots
 // are written or read against that one certification, and ONE index
 // publish exposes the entire run. The scalar model's per-operation

@@ -277,159 +277,18 @@ func (s *Socket) refillLocked(clk *vtime.Clock) int {
 	return n
 }
 
-// Recv consumes one packet from xRX, validating the descriptor against
-// the UMem ownership map and copying the payload into trusted memory.
-// It returns (nil, false) when the ring is empty. Hostile descriptors are
-// refused and skipped ("refuse and advance consumer").
-func (s *Socket) Recv(clk *vtime.Clock) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		avail, _ := s.RX.Available()
-		if avail == 0 {
-			return nil, false
-		}
-		clk.Sync(s.RX.SlotStamp(0))
-		clk.Charge(vtime.CompRing, s.model.RingOp)
-		clk.Charge(vtime.CompValidate, s.model.UMemOp)
-		// Single fetch: the descriptor is frozen into trusted storage
-		// before validation, so the length the copy below trusts is the
-		// length ValidateConsumed certified — a host scribbling the live
-		// slot between the two changes nothing.
-		snap, err := s.RX.SnapSlot(0)
-		if err != nil {
-			s.descRefusals.Add(1)
-			s.trace.Emit(telemetry.EvRingRefusal, clk.Now(), telemetry.RingXskRX, 1)
-			s.RX.Release(1)
-			continue
-		}
-		d := SnapDesc(snap)
-		if _, err := s.UMem.ValidateConsumed(umem.OwnerFill, d.Addr, d.Len); err != nil {
-			// Table 2 fail action: refuse the frame, advance the consumer.
-			// (UMem emits the EvUMemRefusal with the hostile addr/len.)
-			s.RX.Release(1)
-			continue
-		}
-		src, err := s.UMem.FrameBytes(d.Addr, d.Len)
-		if err != nil {
-			s.RX.Release(1)
-			continue
-		}
-		payload := make([]byte, d.Len)
-		copy(payload, src)
-		clk.Charge(vtime.CompCopy, vtime.Bytes(s.model.BoundaryCopyPerByte, int(d.Len)))
-		s.RX.Release(1)
-		s.trace.Emit(telemetry.EvRingConsume, clk.Now(), telemetry.RingXskRX, 1)
-		s.trace.Emit(telemetry.EvBoundaryCopy, clk.Now(), uint64(d.Len), 1)
-		if s.counters != nil {
-			s.counters.PacketsRx.Add(1)
-			s.counters.BytesRx.Add(uint64(d.Len))
-		}
-		return payload, true
-	}
-}
-
-// Send copies one frame from trusted memory into a fresh UMem frame and
-// produces it on xTX. The Monitor Module notices the producer advance and
-// issues the sendto wakeup.
-func (s *Socket) Send(frame []byte, clk *vtime.Clock) error {
-	if uint32(len(frame)) > s.UMem.FrameSize() {
-		return ErrTooBig
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reapLocked(clk) // opportunistically reclaim completed TX frames
-	free, _ := s.TX.Free()
-	if free == 0 {
-		return ErrRingFull
-	}
-	idx, err := s.UMem.Alloc(umem.OwnerTx)
-	if err != nil {
-		return ErrNoFrame
-	}
-	off := s.UMem.FrameOffset(idx)
-	dst, err := s.UMem.FrameBytes(off, uint32(len(frame)))
-	if err != nil {
-		return err
-	}
-	copy(dst, frame)
-	clk.Charge(vtime.CompRing, s.model.RingOp)
-	clk.Charge(vtime.CompValidate, s.model.UMemOp)
-	clk.Charge(vtime.CompCopy, vtime.Bytes(s.model.BoundaryCopyPerByte, len(frame)))
-	slot, err := s.TX.SlotBytes(0)
-	if err != nil {
-		return err
-	}
-	PutDesc(slot, Desc{Addr: off, Len: uint32(len(frame))})
-	s.TX.Submit(1, clk.Now())
-	s.trace.Emit(telemetry.EvBoundaryCopy, clk.Now(), uint64(len(frame)), 0)
-	s.trace.Emit(telemetry.EvRingProduce, clk.Now(), telemetry.RingXskTX, 1)
-	if s.counters != nil {
-		s.counters.PacketsTx.Add(1)
-		s.counters.BytesTx.Add(uint64(len(frame)))
-	}
-	return nil
-}
-
-// RecvView consumes one packet from xRX as a certified zero-copy view:
-// the descriptor is frozen (SnapSlot/SnapDesc single-fetch discipline),
-// validated against the UMem ownership map, and the frame is handed to
-// the caller in place — no boundary copy. The frame stays owned by the
-// view (umem.OwnerView) until the consumer calls View.Release or splices
-// it onto TX; until then the bytes remain host-writable shared memory,
-// so every header decision downstream must go through View.Snap.
-// It returns (zero View, false) when the ring is empty.
-func (s *Socket) RecvView(clk *vtime.Clock) (mem.View, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		avail, _ := s.RX.Available()
-		if avail == 0 {
-			return mem.View{}, false
-		}
-		clk.Sync(s.RX.SlotStamp(0))
-		clk.Charge(vtime.CompRing, s.model.RingOp)
-		clk.Charge(vtime.CompValidate, s.model.UMemOp)
-		// Single fetch: freeze the descriptor, validate the frozen
-		// fields, mint the view over the frozen fields. The host can
-		// still scribble the payload — that is the view's contract —
-		// but the certified bounds cannot move.
-		snap, err := s.RX.SnapSlot(0)
-		if err != nil {
-			s.descRefusals.Add(1)
-			s.trace.Emit(telemetry.EvRingRefusal, clk.Now(), telemetry.RingXskRX, 1)
-			s.RX.Release(1)
-			continue
-		}
-		d := SnapDesc(snap)
-		idx, gen, err := s.UMem.ValidateView(d.Addr, d.Len)
-		if err != nil {
-			// Table 2 fail action: refuse the frame, advance the consumer.
-			s.RX.Release(1)
-			continue
-		}
-		v, err := s.UMem.MakeView(idx, gen, d.Addr, d.Len, s)
-		if err != nil {
-			s.UMem.ReleaseView(idx, gen)
-			s.RX.Release(1)
-			continue
-		}
-		s.RX.Release(1)
-		s.trace.Emit(telemetry.EvRingConsume, clk.Now(), telemetry.RingXskRX, 1)
-		if s.counters != nil {
-			s.counters.PacketsRx.Add(1)
-			s.counters.BytesRx.Add(uint64(d.Len))
-			s.counters.CopyBytesSaved.Add(uint64(d.Len))
-		}
-		return v, true
-	}
-}
-
 // RecvViews consumes up to max packets from xRX as certified zero-copy
-// views: the batched analogue of RecvView, with RecvBatch's ring
-// discipline (one lock, one available read, per-entry freeze+validate,
-// one consumer advance) but no boundary copies. Refused entries are
-// skipped; nil means the ring is empty.
+// views, the socket's one receive path: one lock, one certified read of
+// the available count, then per entry the descriptor is frozen
+// (SnapSlot/SnapDesc single-fetch discipline), validated against the
+// UMem ownership map, and the frame handed over in place — no boundary
+// copy — and finally one consumer advance covering the run. A frame
+// stays owned by its view (umem.OwnerView) until the consumer calls
+// View.Release or splices it onto TX; until then the bytes remain
+// host-writable shared memory, so every header decision downstream must
+// go through View.Snap. Hostile entries are refused and skipped ("refuse
+// and advance consumer", Table 2) without poisoning their neighbours;
+// nil means the ring is empty.
 func (s *Socket) RecvViews(clk *vtime.Clock, max int) []mem.View {
 	if max <= 0 {
 		return nil
@@ -450,7 +309,10 @@ func (s *Socket) RecvViews(clk *vtime.Clock, max int) []mem.View {
 	totalBytes := 0
 	for i := uint32(0); i < n; i++ {
 		clk.Sync(s.RX.SlotStamp(i))
-		// Single fetch per descriptor, as in RecvView.
+		// Single fetch: freeze the descriptor, validate the frozen
+		// fields, mint the view over the frozen fields. The host can
+		// still scribble the payload — that is the view's contract —
+		// but the certified bounds cannot move.
 		snap, err := s.RX.SnapSlot(i)
 		if err != nil {
 			s.descRefusals.Add(1)
@@ -460,6 +322,8 @@ func (s *Socket) RecvViews(clk *vtime.Clock, max int) []mem.View {
 		d := SnapDesc(snap)
 		idx, gen, err := s.UMem.ValidateView(d.Addr, d.Len)
 		if err != nil {
+			// Table 2 fail action: refuse the frame, advance past it.
+			// (UMem emits the EvUMemRefusal with the hostile addr/len.)
 			continue
 		}
 		v, err := s.UMem.MakeView(idx, gen, d.Addr, d.Len, s)
@@ -533,12 +397,12 @@ func (s *Socket) SpliceFrame(v *mem.View, n uint32, clk *vtime.Clock) error {
 	return nil
 }
 
-// SendBatch copies up to len(frames) frames into fresh UMem frames and
-// produces them on xTX as one run: one lock acquisition, one certified
-// read of the ring's free space, one producer-index publish. The Monitor
-// Module sees a single producer advance, so the whole batch costs at
-// most one sendto wakeup. Per-frame UMem validation and copy accounting
-// are unchanged from Send.
+// SendBatch copies up to len(frames) frames from trusted memory into
+// fresh UMem frames and produces them on xTX as one run: one lock
+// acquisition, one certified read of the ring's free space, one
+// producer-index publish. The Monitor Module sees a single producer
+// advance, so the whole batch costs at most one sendto wakeup. It is the
+// socket's one copying transmit path — a scalar send is a run of one.
 //
 // Semantics follow sendmmsg: frames are sent in order, and the count of
 // frames actually produced is returned. An error is reported only when
@@ -602,72 +466,6 @@ func (s *Socket) SendBatch(frames [][]byte, clk *vtime.Clock) (int, error) {
 		s.counters.BatchedMsgs.Add(uint64(n))
 	}
 	return n, nil
-}
-
-// RecvBatch consumes up to max packets from xRX as one run: one lock
-// acquisition, one certified read of the available count, then per-entry
-// descriptor validation against the UMem ownership map (hostile entries
-// are refused and skipped exactly as in Recv), and finally one consumer
-// advance covering the whole run. It returns the validated payloads in
-// ring order — possibly fewer than the entries consumed when some were
-// refused, and nil when the ring is empty.
-func (s *Socket) RecvBatch(clk *vtime.Clock, max int) [][]byte {
-	if max <= 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	avail, _ := s.RX.Available()
-	if avail == 0 {
-		return nil
-	}
-	n := avail
-	if uint32(max) < n {
-		n = uint32(max)
-	}
-	clk.Charge(vtime.CompRing, s.model.RingOp)
-	clk.Charge(vtime.CompValidate, uint64(n)*s.model.UMemOp)
-	var out [][]byte
-	totalBytes := 0
-	for i := uint32(0); i < n; i++ {
-		clk.Sync(s.RX.SlotStamp(i))
-		// Single fetch per descriptor, as in Recv: freeze, validate the
-		// frozen fields, use the frozen fields.
-		snap, err := s.RX.SnapSlot(i)
-		if err != nil {
-			s.descRefusals.Add(1)
-			s.trace.Emit(telemetry.EvRingRefusal, clk.Now(), telemetry.RingXskRX, 1)
-			continue
-		}
-		d := SnapDesc(snap)
-		if _, err := s.UMem.ValidateConsumed(umem.OwnerFill, d.Addr, d.Len); err != nil {
-			// Table 2 fail action: refuse the frame, advance past it.
-			continue
-		}
-		src, err := s.UMem.FrameBytes(d.Addr, d.Len)
-		if err != nil {
-			continue
-		}
-		payload := make([]byte, d.Len)
-		copy(payload, src)
-		out = append(out, payload)
-		totalBytes += int(d.Len)
-	}
-	s.RX.Release(n)
-	s.trace.Emit(telemetry.EvRingConsume, clk.Now(), telemetry.RingXskRX, uint64(n))
-	if totalBytes > 0 {
-		clk.Charge(vtime.CompCopy, vtime.Bytes(s.model.BoundaryCopyPerByte, totalBytes))
-		s.trace.Emit(telemetry.EvBoundaryCopy, clk.Now(), uint64(totalBytes), 1)
-	}
-	if s.counters != nil {
-		if len(out) > 0 {
-			s.counters.PacketsRx.Add(uint64(len(out)))
-			s.counters.BytesRx.Add(uint64(totalBytes))
-		}
-		s.counters.BatchCalls.Add(1)
-		s.counters.BatchedMsgs.Add(uint64(len(out)))
-	}
-	return out
 }
 
 // Reap consumes xCompl, validating ownership and returning frames to the

@@ -42,6 +42,26 @@ func validSetup(t *testing.T, sp *mem.Space, ringSize, frameSize, frameCount uin
 	}
 }
 
+// send1 is the scalar send: a SendBatch run of one.
+func send1(sock *Socket, frame []byte, clk *vtime.Clock) error {
+	n, err := sock.SendBatch([][]byte{frame}, clk)
+	if err == nil && n != 1 {
+		return errors.New("short send without an error")
+	}
+	return err
+}
+
+// recv1 is the scalar receive: RecvViews at width 1, repeated past
+// refused descriptors until a frame is certified or xRX is empty.
+func recv1(sock *Socket, clk *vtime.Clock) (mem.View, bool) {
+	for sock.RxQueued() > 0 {
+		if views := sock.RecvViews(clk, 1); len(views) == 1 {
+			return views[0], true
+		}
+	}
+	return mem.View{}, false
+}
+
 func TestAttachValidSetup(t *testing.T) {
 	sp := mem.NewSpace(1<<20, 1<<22)
 	s := validSetup(t, sp, 64, 2048, 128)
@@ -108,8 +128,11 @@ func TestSendRejectsOversizedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var clk vtime.Clock
-	if err := sock.Send(make([]byte, 2049), &clk); !errors.Is(err, ErrTooBig) {
-		t.Fatalf("err = %v, want ErrTooBig", err)
+	if n, err := sock.SendBatch([][]byte{make([]byte, 2049)}, &clk); n != 0 || !errors.Is(err, ErrTooBig) {
+		t.Fatalf("sent %d, err = %v, want 0, ErrTooBig", n, err)
+	}
+	if free, _ := sock.TX.Free(); free != 64 || sock.UMem.FreeFrames() != 16 {
+		t.Fatalf("refused frame consumed a slot or a frame: free=%d pool=%d", free, sock.UMem.FreeFrames())
 	}
 }
 
@@ -123,11 +146,11 @@ func TestSendExhaustsFramesThenRecovers(t *testing.T) {
 	var clk vtime.Clock
 	frame := make([]byte, 512)
 	for i := 0; i < 4; i++ {
-		if err := sock.Send(frame, &clk); err != nil {
+		if err := send1(sock, frame, &clk); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	if err := sock.Send(frame, &clk); !errors.Is(err, ErrNoFrame) {
+	if err := send1(sock, frame, &clk); !errors.Is(err, ErrNoFrame) {
 		t.Fatalf("err = %v, want ErrNoFrame", err)
 	}
 	// Kernel-side completion: consume xTX, produce xCompl.
@@ -152,7 +175,7 @@ func TestSendExhaustsFramesThenRecovers(t *testing.T) {
 	if n := sock.Reap(&clk); n != 4 {
 		t.Fatalf("reaped %d, want 4", n)
 	}
-	if err := sock.Send(frame, &clk); err != nil {
+	if err := send1(sock, frame, &clk); err != nil {
 		t.Fatalf("send after reap: %v", err)
 	}
 }
@@ -213,10 +236,17 @@ func TestRecvSkipsHostileDescriptors(t *testing.T) {
 	PutDesc(slot, Desc{Addr: legit, Len: 4})
 	kRX.Submit(2, 0)
 
-	// Recv refuses the hostile one and yields the legitimate frame.
-	got, ok := sock.Recv(&clk)
-	if !ok || string(got) != "good" {
-		t.Fatalf("recv = %q, %v", got, ok)
+	// The receive refuses the hostile one and yields the legitimate frame.
+	v, ok := recv1(sock, &clk)
+	if !ok {
+		t.Fatal("legitimate frame not delivered")
+	}
+	got, err := v.Snap(0, v.Len())
+	if err != nil || string(got) != "good" {
+		t.Fatalf("recv = %q, %v", got, err)
+	}
+	if err := v.Release(); err != nil {
+		t.Fatal(err)
 	}
 	if ctrs.UMemViolations.Load() != 1 {
 		t.Fatalf("violations = %d, want 1", ctrs.UMemViolations.Load())
@@ -231,7 +261,7 @@ func TestRecvSkipsHostileDescriptors(t *testing.T) {
 // SnapSlot, the host scribbles the live slot afterwards, and the frozen
 // snapshot still decodes the fetched values while the live slot — what
 // a read-it-again pattern would consult — has diverged. End to end,
-// Recv then validates and uses the same frozen bytes: a descriptor
+// RecvViews then validates and uses the same frozen bytes: a descriptor
 // scribbled hostile before the fetch is refused outright, never
 // half-trusted.
 func TestRecvSnapshotDefeatsDescriptorScribble(t *testing.T) {
@@ -287,10 +317,11 @@ func TestRecvSnapshotDefeatsDescriptorScribble(t *testing.T) {
 		t.Fatalf("live desc = %+v, want scribbled Len 5000", d)
 	}
 
-	// Recv fetches once and validates what it fetched: the scribbled
-	// descriptor is seen whole, refused whole, and never half-used.
-	if got, ok := sock.Recv(&clk); ok {
-		t.Fatalf("recv accepted scribbled descriptor: %q", got)
+	// The receive fetches once and validates what it fetched: the
+	// scribbled descriptor is seen whole, refused whole, and never
+	// half-used.
+	if v, ok := recv1(sock, &clk); ok {
+		t.Fatalf("recv accepted scribbled descriptor: %+v", v)
 	}
 	if ctrs.UMemViolations.Load() != 1 {
 		t.Fatalf("violations = %d, want 1", ctrs.UMemViolations.Load())

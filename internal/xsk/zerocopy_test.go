@@ -10,10 +10,10 @@ import (
 )
 
 // Adversarial coverage for the certified zero-copy RX primitives:
-// RecvView must inherit every refusal Recv already had, pin its
-// descriptor decisions to one frozen fetch, and SpliceFrame must move a
-// frame RX→TX with the view's generation burned so nothing stale can
-// race the kernel.
+// RecvViews — at width 1 (recv1) and across a run — must refuse every
+// hostile descriptor, pin its descriptor decisions to one frozen fetch,
+// and SpliceFrame must move a frame RX→TX with the view's generation
+// burned so nothing stale can race the kernel.
 
 // zcSetup attaches a socket over an 8-slot ring and 16-frame UMem with
 // kernel-side fill/RX rings ready, and delivers one legitimate packet
@@ -39,9 +39,9 @@ func zcSetup(t *testing.T) (*mem.Space, *Socket, *vtime.Counters, *ring.Ring, *r
 	return sp, sock, ctrs, kFill, kRX, legit
 }
 
-// TestRecvViewPinsDescriptorSnapshot is the RecvView edition of the
-// descriptor-scribble regression: the host rewrites the live RX slot
-// after producing it, and RecvView — which fetches the slot exactly once
+// TestRecvViewPinsDescriptorSnapshot is the descriptor-scribble
+// regression on a minted view: the host rewrites the live RX slot after
+// producing it, and RecvViews — which fetches the slot exactly once
 // and validates the frozen bytes — sees the scribbled descriptor whole
 // and refuses it whole. The negative control shows the live slot really
 // did diverge from the originally produced descriptor, so a re-reading
@@ -72,10 +72,10 @@ func TestRecvViewPinsDescriptorSnapshot(t *testing.T) {
 			SnapDesc(frozen).Len, GetDesc(enclaveLive).Len)
 	}
 
-	// RecvView fetches once, sees Len 5000 whole, refuses whole: no
+	// RecvViews fetches once, sees Len 5000 whole, refuses whole: no
 	// view is minted and the frame never leaves the fill ring's custody.
-	if v, ok := sock.RecvView(&clk); ok {
-		t.Fatalf("RecvView accepted scribbled descriptor: %+v", v)
+	if v, ok := recv1(sock, &clk); ok {
+		t.Fatalf("RecvViews accepted scribbled descriptor: %+v", v)
 	}
 	if ctrs.UMemViolations.Load() != 1 {
 		t.Fatalf("violations = %d, want 1", ctrs.UMemViolations.Load())
@@ -85,10 +85,10 @@ func TestRecvViewPinsDescriptorSnapshot(t *testing.T) {
 	}
 }
 
-// TestRecvViewRefusesHostileDescriptor mirrors Recv's hostile-descriptor
-// refusal on the view path: a descriptor naming a frame the kernel never
-// received is refused, and the adjacent legitimate frame is delivered as
-// a certified view with in-place bytes.
+// TestRecvViewRefusesHostileDescriptor checks the delivered view's
+// bounds and in-place bytes next to a refusal: a descriptor naming a
+// frame the kernel never received is refused, and the adjacent
+// legitimate frame is delivered as a certified view.
 func TestRecvViewRefusesHostileDescriptor(t *testing.T) {
 	sp, sock, ctrs, kFill, kRX, legit := zcSetup(t)
 	var clk vtime.Clock
@@ -102,7 +102,7 @@ func TestRecvViewRefusesHostileDescriptor(t *testing.T) {
 	PutDesc(slot, Desc{Addr: legit, Len: 4})
 	kRX.Submit(2, 0)
 
-	v, ok := sock.RecvView(&clk)
+	v, ok := recv1(sock, &clk)
 	if !ok {
 		t.Fatal("legitimate frame not delivered")
 	}
@@ -141,7 +141,7 @@ func TestSpliceFrameRequeuesWithoutCopy(t *testing.T) {
 	PutDesc(slot, Desc{Addr: legit, Len: 8})
 	kRX.Submit(1, 0)
 
-	v, ok := sock.RecvView(&clk)
+	v, ok := recv1(sock, &clk)
 	if !ok {
 		t.Fatal("no view")
 	}

@@ -69,20 +69,6 @@ type Config struct {
 	Model *vtime.Model
 	// Counters receives statistics; it may be nil.
 	Counters *vtime.Counters
-	// GlobalLockStack enables the global-lock netstack ablation.
-	GlobalLockStack bool
-	// RoundRobinTX retains the pre-shard TX queue selection as an
-	// ablation: outbound frames rotate across the XSKs instead of
-	// following the RSS flow hash. Replies then leave on a different
-	// queue than the kernel steers the flow's RX to, defeating shard
-	// affinity (the sharded-scale-out figure measures the cost).
-	RoundRobinTX bool
-	// CopyRX selects the legacy copying RX path: every received frame is
-	// copied out of the UMem before the stack sees it. Off (the default)
-	// the FM pumps hand the stack certified in-place frame views and the
-	// single explicit copy happens at the app-payload boundary. This is
-	// the zero-copy ablation knob.
-	CopyRX bool
 	// Chaos, when non-nil, arms hostile-host fault injection: Boot hands
 	// the injector to the kernel and the Monitor Module and starts its
 	// background scribbler. The trusted side gets no hint that chaos is
@@ -173,12 +159,12 @@ type Runtime struct {
 	tun         *tuner.Tuner
 	shardTuning []*tuner.State
 	shardTuns   []*tuner.Tuner
-	tunClk     vtime.Clock
-	depthHists []*telemetry.Histogram
-	appDepth   *telemetry.Histogram
-	tunStop    chan struct{}
-	tunDone    chan struct{}
-	tunKick    chan struct{}
+	tunClk      vtime.Clock
+	depthHists  []*telemetry.Histogram
+	appDepth    *telemetry.Histogram
+	tunStop     chan struct{}
+	tunDone     chan struct{}
+	tunKick     chan struct{}
 
 	mu       sync.Mutex
 	fds      map[int]*entry
@@ -259,8 +245,7 @@ func Boot(kern *hostos.Kernel, ns *hostos.NetNS, cfg Config) (*Runtime, error) {
 	}
 
 	rt.link = sm.NewXskLink(rt.socks, ns.Dev.MAC(), ns.Dev.MTU())
-	rt.link.SetRoundRobin(cfg.RoundRobinTX)
-	stack, err := sm.NewEnclaveStack(rt.link, cfg.IP, cfg.Model, cfg.Counters, cfg.GlobalLockStack, cfg.EnclaveTCP)
+	stack, err := sm.NewEnclaveStack(rt.link, cfg.IP, cfg.Model, cfg.Counters, cfg.EnclaveTCP)
 	if err != nil {
 		return nil, err
 	}
@@ -290,12 +275,10 @@ func Boot(kern *hostos.Kernel, ns *hostos.NetNS, cfg Config) (*Runtime, error) {
 			rt.shardTuns[i] = tuner.New(cfg.TunerParams, rt.shardTuning[i])
 		}
 	}
-	rt.link.SetTuning(rt.tuning)
 	rt.link.SetShardTuning(rt.shardTuning)
 
 	for i, sock := range rt.socks {
 		pump := fm.NewXskPump(sock, stack, cfg.Model)
-		pump.SetCopyRX(cfg.CopyRX)
 		pump.SetShard(i)
 		pump.SetTuning(rt.shardTuning[i])
 		var depth *telemetry.Histogram
@@ -508,12 +491,12 @@ func (rt *Runtime) tuneStep(prev *tuneWindow, fromTick bool) {
 		cur.depth = cur.depth.Merge(h.Snapshot())
 	}
 	in := tuner.Input{
-		Ops:        sub(cur.ops, prev.ops),
-		BatchCalls: sub(cur.bcalls, prev.bcalls),
+		Ops:         sub(cur.ops, prev.ops),
+		BatchCalls:  sub(cur.bcalls, prev.bcalls),
 		BatchedMsgs: sub(cur.bmsgs, prev.bmsgs),
-		Suppressed: sub(cur.suppressed, prev.suppressed),
-		Drops:      sub(cur.drops, prev.drops),
-		Depth:      cur.depth.Sub(prev.depth),
+		Suppressed:  sub(cur.suppressed, prev.suppressed),
+		Drops:       sub(cur.drops, prev.drops),
+		Depth:       cur.depth.Sub(prev.depth),
 	}
 	if in.Ops < tuneWindowOps && in.Depth.Count < tuneWindowSamples {
 		// Thin evidence: a one-sample window would let a single quiet
@@ -642,36 +625,18 @@ func steeringProgram(ip netstack.IP4) hostos.XDPProg {
 
 // installRSS spreads enclave-bound flows over the XSK-backed queues and
 // leaves other traffic on the default hash. The steering hash is
-// netstack.FlowHash — the same function the enclave's demux shards and
-// the link's flow-affine TX use — so a flow's RX queue, its demux
-// shard, and its reply TX queue all agree by construction.
+// netstack.FlowHash over netstack.FrameFlow's key — the same pair the
+// enclave's demux shards and the link's flow-affine TX use — so a flow's
+// RX queue, its demux shard, and its reply TX queue all agree by
+// construction.
 func installRSS(ns *hostos.NetNS, ip netstack.IP4, numXSKs int) {
 	ns.Dev.SetRSS(func(data []byte, queues int) int {
-		if len(data) >= 14+20 {
-			etherType := uint16(data[12])<<8 | uint16(data[13])
-			if etherType == 0x0800 {
-				var dst netstack.IP4
-				copy(dst[:], data[14+16:14+20])
-				if dst == ip {
-					if numXSKs == 1 {
-						return 0
-					}
-					ihl := int(data[14]&0x0F) * 4
-					if len(data) < 14+ihl+4 {
-						// Too short to carry ports: the hash over no
-						// bytes is the FNV offset basis.
-						return int(2166136261 % uint32(numXSKs))
-					}
-					var src netstack.IP4
-					copy(src[:], data[14+12:14+16])
-					sport := uint16(data[14+ihl])<<8 | uint16(data[14+ihl+1])
-					dport := uint16(data[14+ihl+2])<<8 | uint16(data[14+ihl+3])
-					return netstack.RXShard(src, dst, sport, dport, numXSKs)
-				}
-			}
-			if etherType == 0x0806 {
-				return 0 // ARP always lands on queue 0 (XSK 0 or kernel)
-			}
+		src, dst, sport, dport, ok := netstack.FrameFlow(data)
+		if ok && dst == ip {
+			return netstack.RXShard(src, dst, sport, dport, numXSKs)
+		}
+		if len(data) >= netstack.EthHeaderBytes && uint16(data[12])<<8|uint16(data[13]) == netstack.EtherTypeARP {
+			return 0 // ARP always lands on queue 0 (XSK 0 or kernel)
 		}
 		return netsim.DefaultRSS(data, queues)
 	})
@@ -702,9 +667,20 @@ func (rt *Runtime) Close() {
 		p.Close()
 	}
 	rt.mon.Close()
+	var clk vtime.Clock
+	// Retire the per-thread io_urings: each one's kernel worker goroutine
+	// otherwise outlives the runtime and pins the world's address space.
+	// After the watchdog (which enters them when the MM is dead) and the
+	// Monitor (which watches their rings) have stopped.
+	rt.mu.Lock()
+	uringFDs := rt.uringFDs
+	rt.uringFDs = nil
+	rt.mu.Unlock()
+	for _, fd := range uringFDs {
+		rt.hostProc.Close(fd, &clk)
+	}
 	// Retire any busy-poll workers the tuner (or a static BusyPoll
 	// config) left running; their clocks stay readable for breakdowns.
-	var clk vtime.Clock
 	for _, s := range rt.socks {
 		rt.hostProc.XSKBusyPoll(s.FD(), false, &clk)
 	}
@@ -713,17 +689,15 @@ func (rt *Runtime) Close() {
 
 // SpliceUDPEcho registers a zero-copy in-place UDP echo on port: frames
 // addressed to it are reflected RX→TX through the owning XSK without a
-// payload copy. With CopyRX set the stack never sees views, so the
-// registration is refused and a socket-level echo must serve the port.
-// Passing enable=false unregisters. Returns whether the splice is
-// active.
+// payload copy. Passing enable=false unregisters. Returns whether the
+// splice is active.
 func (rt *Runtime) SpliceUDPEcho(port uint16, enable bool) bool {
-	if enable && !rt.cfg.CopyRX {
+	if enable {
 		rt.Stack.SpliceUDPEcho(port, rt.link)
-		return true
+	} else {
+		rt.Stack.SpliceUDPEcho(port, nil)
 	}
-	rt.Stack.SpliceUDPEcho(port, nil)
-	return false
+	return enable
 }
 
 // Monitor exposes the Monitor Module (for tests and diagnostics).

@@ -8,6 +8,7 @@ package rakis_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -427,5 +428,44 @@ func TestRakisVirtualThroughputBeatsGramineSGX(t *testing.T) {
 	if gramineCycles < rakisCycles*2 {
 		t.Fatalf("Gramine-SGX %d cycles vs RAKIS-SGX %d: expected >2x gap",
 			gramineCycles, rakisCycles)
+	}
+}
+
+// TestClosedWorldIsReleased: Close must retire everything a runtime
+// started, including each application thread's io_uring kernel worker —
+// a worker left running keeps its world's whole simulated address space
+// reachable. Boot, open a thread, close, three times: the goroutine
+// count and the live heap return to where they started.
+func TestClosedWorldIsReleased(t *testing.T) {
+	const spaceBytes = 64 << 20
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	baseGoroutines, baseHeap := runtime.NumGoroutine(), liveHeap()
+	for i := 0; i < 3; i++ {
+		w, err := experiments.NewWorld(experiments.Options{
+			Env: experiments.RakisSGX, TrustedBytes: 4 << 20, UntrustedBytes: spaceBytes,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.ServerThread(); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+	}
+	// Stopped goroutines exit on their own schedule: wait for them.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseGoroutines && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > baseGoroutines {
+		t.Errorf("%d goroutines after three closed worlds, %d before", n, baseGoroutines)
+	}
+	if heap := liveHeap(); heap > baseHeap+spaceBytes/2 {
+		t.Errorf("live heap %d MiB after three closed worlds, %d MiB before: a closed world's %d MiB space is still reachable",
+			heap>>20, baseHeap>>20, spaceBytes>>20)
 	}
 }

@@ -13,7 +13,9 @@
 #   3. analysis tests  — fixture-freshness gate: the analyzers still
 #                        fire on their testdata fixtures and stay clean
 #                        on the production tree
-#   4. go vet          — toolchain static checks
+#   4. go vet, gofmt   — toolchain static checks; every non-testdata
+#                        .go file is gofmt-clean (`gofmt -l` prints
+#                        nothing)
 #   5. go test ./...   — unit + integration + property tests, once: the
 #                        differential suites (batched, zero-copy, shard
 #                        affinity, proxied-vs-XSK TCP), the figure gates,
@@ -28,9 +30,11 @@
 #   7. fuzz smoke      — 30 s over the committed netstack seed corpus
 #                        (internal/netstack/testdata/fuzz), the §5.2-style
 #                        hostile-frame campaign, plus 30 s aimed at the
-#                        certify-in-place view parser (FuzzInputView) and
-#                        30 s at the TCP segment ingest (FuzzInputTCP,
-#                        seeded with the hostile-handshake corpus)
+#                        certify-in-place view parser (FuzzInputView,
+#                        which also holds InputView against Input frame
+#                        by frame) and 30 s at the TCP segment ingest
+#                        (FuzzInputTCP, seeded with the hostile-handshake
+#                        corpus); all three cap -fuzzminimizetime
 #   8. chaos smoke     — rakis-chaos -profile smoke: every workload under
 #                        fault injection (see DESIGN.md, "Chaos testing");
 #                        then -profile faketel: a hostile host steering
@@ -65,20 +69,29 @@ go test ./internal/analysis/...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l (non-testdata .go files)"
+unformatted=$(find . -name '*.go' -not -path '*/testdata/*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+	echo "ci: not gofmt-clean:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "==> go test ./..."
 go test ./...
 
 echo "==> go test -race -shuffle=on ./internal/..."
 go test -race -shuffle=on ./internal/...
 
+# -fuzzminimizetime is capped on every leg: the default burns 60 s
+# minimizing every new interesting input, which can eat the whole fuzz
+# budget.
 echo "==> go test -fuzz=FuzzStackInput -fuzztime=30s ./internal/netstack"
-go test -run='^$' -fuzz='^FuzzStackInput$' -fuzztime=30s ./internal/netstack
+go test -run='^$' -fuzz='^FuzzStackInput$' -fuzztime=30s -fuzzminimizetime=10x ./internal/netstack
 
 echo "==> go test -fuzz=FuzzInputView -fuzztime=30s ./internal/netstack"
-go test -run='^$' -fuzz='^FuzzInputView$' -fuzztime=30s ./internal/netstack
+go test -run='^$' -fuzz='^FuzzInputView$' -fuzztime=30s -fuzzminimizetime=10x ./internal/netstack
 
-# -fuzzminimizetime is capped: the default burns 60 s minimizing every
-# new interesting input, which can eat the whole fuzz budget.
 echo "==> go test -fuzz=FuzzInputTCP -fuzztime=30s ./internal/netstack"
 go test -run='^$' -fuzz='^FuzzInputTCP$' -fuzztime=30s -fuzzminimizetime=10x ./internal/netstack
 

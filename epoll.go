@@ -13,26 +13,16 @@ import (
 	"sync"
 	"time"
 
-	"rakis/internal/telemetry"
-
-	"rakis/internal/netstack"
 	"rakis/internal/sm"
 	"rakis/internal/sys"
+	"rakis/internal/telemetry"
 )
 
-// epollItem is one registered descriptor.
-type epollItem struct {
-	udp    *netstack.UDPSocket
-	tcp    *netstack.TCPSocket
-	hostFD int
-	isUDP  bool
-	events uint32
-}
-
-// repoll is an enclave-side epoll instance.
+// repoll is an enclave-side epoll instance: the registered descriptors,
+// each stored as the poll source EpollWait hands to the aggregation.
 type repoll struct {
 	mu       sync.Mutex
-	interest map[int]epollItem
+	interest map[int]sm.PollSource
 }
 
 // ErrBadEpoll reports epoll ops on a non-epoll descriptor.
@@ -44,7 +34,7 @@ func (t *Thread) EpollCreate() (int, error) {
 	t.probe.Begin(telemetry.SpanEpollCreate)
 	defer t.probe.End()
 	t.hook()
-	ep := &repoll{interest: make(map[int]epollItem)}
+	ep := &repoll{interest: make(map[int]sm.PollSource)}
 	return t.rt.registerEntry(&entry{kind: kindEpoll, ep: ep}), nil
 }
 
@@ -68,24 +58,23 @@ func (t *Thread) EpollCtl(epfd, op, fd int, events uint32) error {
 	if !ok {
 		return errors.New("rakis: bad fd")
 	}
-	item := epollItem{events: events}
+	src := sm.PollSource{Events: events}
 	switch target.kind {
 	case kindUDP:
-		item.udp = target.udp
-		item.isUDP = true
+		src.UDP = target.udp
 	case kindTCP:
 		if target.tcp == nil {
 			return errors.New("rakis: epoll on unconnected TCP fd")
 		}
-		item.tcp = target.tcp
+		src.TCP = target.tcp
 	case kindHost:
-		item.hostFD = target.host
+		src.HostFD = target.host
 	default:
 		return ErrBadEpoll
 	}
 	switch op {
 	case sys.EpollCtlAdd, sys.EpollCtlMod:
-		ep.interest[fd] = item
+		ep.interest[fd] = src
 	default:
 		return errors.New("rakis: bad epoll op")
 	}
@@ -128,16 +117,7 @@ func (t *Thread) EpollWait(epfd int, events []sys.EpollEvent, timeout time.Durat
 	ep.mu.Lock()
 	srcs := make([]sm.PollSource, 0, len(ep.interest))
 	fds := make([]int, 0, len(ep.interest))
-	for fd, item := range ep.interest {
-		src := sm.PollSource{Events: item.events}
-		switch {
-		case item.isUDP:
-			src.UDP = item.udp
-		case item.tcp != nil:
-			src.TCP = item.tcp
-		default:
-			src.HostFD = item.hostFD
-		}
+	for fd, src := range ep.interest {
 		srcs = append(srcs, src)
 		fds = append(fds, fd)
 	}

@@ -128,22 +128,3 @@ func consume(wants []*expectation, pos token.Position, msg string) bool {
 	}
 	return false
 }
-
-// FixtureDiagnostics runs an analyzer over a fixture and returns the
-// rendered findings (for driver-level tests).
-func FixtureDiagnostics(a *Analyzer, name string) ([]string, error) {
-	world, err := sharedWorld()
-	if err != nil {
-		return nil, err
-	}
-	dir := filepath.Join("testdata", "src", name)
-	pkg, err := world.LoadDir(dir, "fixture/"+name)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, d := range Run(world, []*Package{pkg}, []*Analyzer{a}) {
-		out = append(out, Format(world.Fset, d))
-	}
-	return out, nil
-}

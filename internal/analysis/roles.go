@@ -100,21 +100,6 @@ func funcAnnotation(decl *ast.FuncDecl, directive string) bool {
 	return false
 }
 
-// annotationReason returns the text following a //rakis: directive in a
-// function's doc comment — the audit reason required on escape-hatch
-// annotations — and whether the directive is present at all.
-func annotationReason(decl *ast.FuncDecl, directive string) (string, bool) {
-	for _, d := range directiveLines(decl.Doc) {
-		if d == directive {
-			return "", true
-		}
-		if strings.HasPrefix(d, directive+" ") {
-			return strings.TrimSpace(strings.TrimPrefix(d, directive+" ")), true
-		}
-	}
-	return "", false
-}
-
 // registerAnnotations scans a type-checked package's declarations and
 // records annotated functions into the world's registries.
 func (w *World) registerAnnotations(pkg *Package) {

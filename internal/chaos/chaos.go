@@ -245,14 +245,6 @@ func (in *Injector) SetTrace(b *telemetry.Buf) {
 // Seed returns the replay seed.
 func (in *Injector) Seed() uint64 { return in.seed }
 
-// ProfileName returns the active profile's name ("" when nil).
-func (in *Injector) ProfileName() string {
-	if in == nil {
-		return ""
-	}
-	return in.profile.Name
-}
-
 // KernelScanDisabled reports whether the kernel worker's periodic
 // safety-net scan should be suppressed for this run.
 func (in *Injector) KernelScanDisabled() bool {

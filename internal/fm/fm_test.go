@@ -29,6 +29,26 @@ func (sinkLink) SendFrame(data []byte, clk *vtime.Clock) (uint64, error) { retur
 func (sinkLink) MAC() [6]byte                                            { return [6]byte{2, 0, 0, 0, 0, 5} }
 func (sinkLink) MTU() int                                                { return 1500 }
 
+// recvWithin is a blocking RecvFrom with a real-time cap, so a pump that
+// never delivers fails the test instead of hanging it.
+func recvWithin(u *netstack.UDPSocket, clk *vtime.Clock, d time.Duration) (netstack.Datagram, error) {
+	type result struct {
+		d   netstack.Datagram
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		dg, err := u.RecvFrom(clk, true)
+		done <- result{dg, err}
+	}()
+	select {
+	case r := <-done:
+		return r.d, r.err
+	case <-time.After(d):
+		return netstack.Datagram{}, netstack.ErrTimeout
+	}
+}
+
 // TestXskPumpDeliversToStack drives the pump with a hand-operated kernel
 // side: frames placed via the fill/RX rings must surface in the stack's
 // UDP socket, and the consumed frames must be recycled.
@@ -105,7 +125,7 @@ func TestXskPumpDeliversToStack(t *testing.T) {
 	kRX.Submit(1, 777)
 
 	var clk vtime.Clock
-	d, err := usock.RecvTimeout(&clk, 2*time.Second)
+	d, err := recvWithin(usock, &clk, 2*time.Second)
 	if err != nil || string(d.Bytes()) != "hello" {
 		t.Fatalf("pump delivery = %q, %v", d.Bytes(), err)
 	}

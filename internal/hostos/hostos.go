@@ -30,7 +30,6 @@ var (
 	ErrBadFD     = errors.New("hostos: bad file descriptor")
 	ErrNotSocket = errors.New("hostos: not a socket")
 	ErrNotFile   = errors.New("hostos: not a file")
-	ErrExist     = errors.New("hostos: file exists")
 	ErrNoEnt     = errors.New("hostos: no such file")
 	ErrInval     = errors.New("hostos: invalid argument")
 )

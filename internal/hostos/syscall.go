@@ -1,7 +1,6 @@
 package hostos
 
 import (
-	"fmt"
 	"time"
 
 	"rakis/internal/netstack"
@@ -30,9 +29,6 @@ func (k *Kernel) NewProc(ns *NetNS, counters *vtime.Counters) *Proc {
 
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.kern }
-
-// NS returns the process's network namespace.
-func (p *Proc) NS() *NetNS { return p.ns }
 
 // enter charges one syscall entry.
 func (p *Proc) enter(clk *vtime.Clock) {
@@ -76,8 +72,6 @@ func (p *Proc) Socket(typ SockType, clk *vtime.Clock) (int, error) {
 
 // Bind assigns the local port. For UDP this rebinds the ephemeral socket;
 // for TCP it records the port used by a later Listen.
-type tcpBindInfo struct{ port uint16 }
-
 func (p *Proc) Bind(fd int, port uint16, clk *vtime.Clock) error {
 	p.enter(clk)
 	obj, err := p.kern.lookupFD(fd)
@@ -445,7 +439,6 @@ const (
 	PollIn  uint32 = 1 << 0
 	PollOut uint32 = 1 << 2
 	PollErr uint32 = 1 << 3
-	PollHup uint32 = 1 << 4
 )
 
 // PollFD is one poll entry; Revents is filled on return.
@@ -540,6 +533,3 @@ func (p *Proc) Unlink(path string, clk *vtime.Clock) error {
 	p.enter(clk)
 	return p.kern.vfs.Unlink(path)
 }
-
-// fmtAddr helps error messages elsewhere.
-func fmtAddr(a netstack.Addr) string { return fmt.Sprintf("%v", a) }

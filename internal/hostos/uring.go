@@ -255,11 +255,10 @@ func (u *uringKernel) complete(userData uint64, res int32, now uint64) {
 
 // Errno values surfaced through CQE results.
 const (
-	errnoEFAULT    = -14
-	errnoEINVAL    = -22
-	errnoEBADF     = -9
-	errnoEPIPE     = -32
-	errnoECANCELED = -125
+	errnoEFAULT = -14
+	errnoEINVAL = -22
+	errnoEBADF  = -9
+	errnoEPIPE  = -32
 )
 
 // execute performs one submitted operation in the worker's context. The

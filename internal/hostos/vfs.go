@@ -158,5 +158,4 @@ const (
 	ORdwr   = 2
 	OCreate = 1 << 6
 	OTrunc  = 1 << 9
-	OAppend = 1 << 10
 )

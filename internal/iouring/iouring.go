@@ -48,7 +48,6 @@ const (
 	OpPollAdd
 	OpPollRemove
 	OpFsync
-	opMax
 )
 
 var opNames = [...]string{"nop", "read", "write", "send", "recv", "poll_add", "poll_remove", "fsync"}
@@ -355,42 +354,33 @@ func (r *Ring) Escalate() {
 	}
 }
 
-// Submit places one request on iSub. The returned token identifies the
-// request's completion. The Monitor Module notices the producer advance
-// and issues io_uring_enter on the FM's behalf.
+// placed rejects a run in which any SQE's buffer range touches enclave
+// memory. The host kernel is about to dereference those ranges, so RAKIS
+// only ever points SQEs at bounce buffers in shared memory (§4.1).
 //
-// The buffer range named by the SQE is about to be dereferenced by the
-// host kernel, so it must not reference enclave memory: RAKIS always
-// points SQEs at bounce buffers in shared memory (§4.1).
-func (r *Ring) Submit(e SQE, clk *vtime.Clock) (uint64, error) {
-	if e.Len > 0 && r.space.IntersectsTrusted(e.Addr, uint64(e.Len)) {
-		return 0, fmt.Errorf("%w: [%#x,+%d)", ErrBufferPlacement, uint64(e.Addr), e.Len)
-	}
-	free, _ := r.Sub.Free()
-	if free == 0 {
-		free = r.reconcileSub()
-	}
-	if free == 0 {
-		return 0, ErrFull
-	}
-	r.nextToken++
-	e.UserData = r.nextToken
-	slot, err := r.Sub.SlotBytes(0)
-	if err != nil {
-		return 0, err
-	}
-	PutSQE(slot, e)
-	clk.Charge(vtime.CompRing, r.model.RingOp)
-	r.Sub.Submit(1, clk.Now())
-	r.trace.Emit(telemetry.EvRingProduce, clk.Now(), telemetry.RingUringSub, 1)
-	r.outstanding[e.UserData] = e
-	if r.counters != nil {
-		r.counters.IoUringOps.Add(1)
-		if e.Op == OpPollRemove {
-			r.counters.PollCancels.Add(1)
+//rakis:validator
+func (r *Ring) placed(es []SQE) error {
+	for _, e := range es {
+		if e.Len > 0 && r.space.IntersectsTrusted(e.Addr, uint64(e.Len)) {
+			return fmt.Errorf("%w: [%#x,+%d)", ErrBufferPlacement, uint64(e.Addr), e.Len)
 		}
 	}
-	return e.UserData, nil
+	return nil
+}
+
+// Submit places one request on iSub: a run of one on stack arrays. The
+// returned token identifies the request's completion. The Monitor Module
+// notices the producer advance and issues io_uring_enter on the FM's
+// behalf. Scalar submissions are not batch calls and leave the
+// BatchCalls/BatchedMsgs counters alone.
+func (r *Ring) Submit(e SQE, clk *vtime.Clock) (uint64, error) {
+	es := [1]SQE{e}
+	if err := r.placed(es[:]); err != nil {
+		return 0, err
+	}
+	var tok [1]uint64
+	_, err := r.submit(es[:], tok[:], clk)
+	return tok[0], err
 }
 
 // SubmitN places up to len(es) requests on iSub as one run: every buffer
@@ -406,29 +396,43 @@ func (r *Ring) SubmitN(es []SQE, clk *vtime.Clock) ([]uint64, error) {
 	if len(es) == 0 {
 		return nil, nil
 	}
-	for _, e := range es {
-		if e.Len > 0 && r.space.IntersectsTrusted(e.Addr, uint64(e.Len)) {
-			return nil, fmt.Errorf("%w: [%#x,+%d)", ErrBufferPlacement, uint64(e.Addr), e.Len)
-		}
+	if err := r.placed(es); err != nil {
+		return nil, err
 	}
+	tokens := make([]uint64, len(es))
+	n, err := r.submit(es, tokens, clk)
+	if n == 0 {
+		return nil, err
+	}
+	if r.counters != nil {
+		r.counters.BatchCalls.Add(1)
+		r.counters.BatchedMsgs.Add(uint64(n))
+	}
+	return tokens[:n], nil
+}
+
+// submit is the one submission body: it sizes the run against the
+// certified free count, writes the SQEs, records them as outstanding and
+// publishes the producer index once. Tokens for the submitted prefix
+// land in tokens (len(tokens) >= len(es)); the error is non-nil only
+// when nothing was submitted. Callers have validated buffer placement.
+func (r *Ring) submit(es []SQE, tokens []uint64, clk *vtime.Clock) (int, error) {
 	free, _ := r.Sub.Free()
 	if free == 0 {
 		free = r.reconcileSub()
 	}
 	if free == 0 {
-		return nil, ErrFull
+		return 0, ErrFull
 	}
-	n := uint32(len(es))
-	if free < n {
-		n = free
+	if n := uint32(len(es)); free < n {
+		es = es[:free]
 	}
-	tokens := make([]uint64, 0, n)
-	for i := uint32(0); i < n; i++ {
-		e := es[i]
-		slot, err := r.Sub.SlotBytes(i)
+	n := 0
+	for _, e := range es {
+		slot, err := r.Sub.SlotBytes(uint32(n))
 		if err != nil {
-			if len(tokens) == 0 {
-				return nil, err
+			if n == 0 {
+				return 0, err
 			}
 			break
 		}
@@ -436,20 +440,19 @@ func (r *Ring) SubmitN(es []SQE, clk *vtime.Clock) ([]uint64, error) {
 		e.UserData = r.nextToken
 		PutSQE(slot, e)
 		r.outstanding[e.UserData] = e
-		tokens = append(tokens, e.UserData)
+		tokens[n] = e.UserData
+		n++
 		if r.counters != nil && e.Op == OpPollRemove {
 			r.counters.PollCancels.Add(1)
 		}
 	}
 	clk.Charge(vtime.CompRing, r.model.RingOp)
-	r.Sub.Submit(uint32(len(tokens)), clk.Now())
-	r.trace.Emit(telemetry.EvRingProduce, clk.Now(), telemetry.RingUringSub, uint64(len(tokens)))
+	r.Sub.Submit(uint32(n), clk.Now())
+	r.trace.Emit(telemetry.EvRingProduce, clk.Now(), telemetry.RingUringSub, uint64(n))
 	if r.counters != nil {
-		r.counters.IoUringOps.Add(uint64(len(tokens)))
-		r.counters.BatchCalls.Add(1)
-		r.counters.BatchedMsgs.Add(uint64(len(tokens)))
+		r.counters.IoUringOps.Add(uint64(n))
 	}
-	return tokens, nil
+	return n, nil
 }
 
 // reconcileSub recovers a submission ring stuck behind a scribbled

@@ -237,3 +237,43 @@ func TestResPlausibilityMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitAllocs pins the scalar submission's heap cost. Submit is the
+// SubmitN body at width one on stack arrays: it allocates nothing, as it
+// did when it was a function of its own (0 at 1973c5b; the one
+// allocation of a submit+wait round trip is Drain's CQE snapshot).
+func TestSubmitAllocs(t *testing.T) {
+	const entries, runs = 256, 100
+	fm, kSub, kCompl, sp, ctrs := pair(t, entries)
+	bounce, err := sp.Alloc(mem.Untrusted, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := SQE{Op: OpRead, FD: 1, Addr: bounce, Len: 64}
+	var clk vtime.Clock
+	// Bring the outstanding map to its working size, then empty it, so
+	// the measured submissions do not pay for its growth.
+	for i := 0; i < runs+1; i++ {
+		if _, err := fm.Submit(e, &clk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < runs+1; i++ {
+		kernelAnswer(t, kSub, kCompl, 0)
+		fm.Drain(&clk)
+	}
+	if fm.Outstanding() != 0 {
+		t.Fatalf("%d requests outstanding after the warm-up", fm.Outstanding())
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := fm.Submit(e, &clk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Submit allocates %v objects per call, want 0", allocs)
+	}
+	if calls := ctrs.BatchCalls.Load(); calls != 0 {
+		t.Fatalf("scalar submissions counted as %d batch calls", calls)
+	}
+}

@@ -122,9 +122,6 @@ type Space struct {
 	stamps  map[Addr]*vtime.Stamp
 	bands   map[Addr][]vtime.Stamp
 
-	// hostTrustedDenied counts host-role accesses to trusted memory that
-	// the protection refused (the abort-page analogue firing).
-	hostTrustedDenied atomic.Uint64
 	// hostTrustedGranted is the chaos suite's tripwire: it counts
 	// host-role accesses to trusted memory that were GRANTED. The guard
 	// in check makes this unreachable by construction; the counter exists
@@ -182,7 +179,6 @@ func (sp *Space) check(role Role, a Addr, n uint64) (*segment, error) {
 		return nil, fmt.Errorf("%w: [%#x,+%d)", ErrBounds, uint64(a), n)
 	}
 	if s.kind == Trusted && role == RoleHost {
-		sp.hostTrustedDenied.Add(1)
 		return nil, fmt.Errorf("%w: [%#x,+%d)", ErrProtected, uint64(a), n)
 	}
 	if s.kind == Trusted && role == RoleHost {
@@ -192,10 +188,6 @@ func (sp *Space) check(role Role, a Addr, n uint64) (*segment, error) {
 	}
 	return s, nil
 }
-
-// HostTrustedDenied returns how many host-role accesses to trusted memory
-// were refused.
-func (sp *Space) HostTrustedDenied() uint64 { return sp.hostTrustedDenied.Load() }
 
 // HostTrustedGranted returns how many host-role accesses to trusted
 // memory were granted. The chaos suite asserts this stays zero under

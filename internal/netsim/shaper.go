@@ -56,50 +56,3 @@ func (s Shape) Schedule() []Departure {
 	}
 	return out
 }
-
-// StepShape is a two-level step load: a trickle phase followed by a
-// sustained high-rate phase — the canonical ramp-up/ramp-down probe for
-// a control loop.
-func StepShape(lowN int, lowGap uint64, highN int, highGap uint64) Shape {
-	return Shape{Name: "step", Phases: []Phase{
-		{Name: "low", Count: lowN, Gap: lowGap},
-		{Name: "high", Count: highN, Gap: highGap},
-	}}
-}
-
-// BurstShape is an on/off burst pattern: cycles repetitions of a dense
-// burst followed by a sparse quiet tail. Bursts should be long relative
-// to a tuner's guard window, or hysteresis (correctly) refuses to
-// follow them.
-func BurstShape(cycles, burstN int, burstGap uint64, quietN int, quietGap uint64) Shape {
-	s := Shape{Name: "burst"}
-	for i := 0; i < cycles; i++ {
-		s.Phases = append(s.Phases,
-			Phase{Name: "burst", Count: burstN, Gap: burstGap},
-			Phase{Name: "quiet", Count: quietN, Gap: quietGap},
-		)
-	}
-	return s
-}
-
-// DiurnalShape approximates a day's traffic curve in five steps: night
-// trickle, morning ramp, midday peak, evening ramp-down, night again.
-// peakGap spaces departures at the peak; the shoulders run at 4x and
-// the nights at 32x that spacing.
-func DiurnalShape(peakN int, peakGap uint64) Shape {
-	shoulderN := peakN / 2
-	nightN := peakN / 8
-	if shoulderN < 1 {
-		shoulderN = 1
-	}
-	if nightN < 1 {
-		nightN = 1
-	}
-	return Shape{Name: "diurnal", Phases: []Phase{
-		{Name: "night", Count: nightN, Gap: 32 * peakGap},
-		{Name: "morning", Count: shoulderN, Gap: 4 * peakGap},
-		{Name: "midday", Count: peakN, Gap: peakGap},
-		{Name: "evening", Count: shoulderN, Gap: 4 * peakGap},
-		{Name: "night2", Count: nightN, Gap: 32 * peakGap},
-	}}
-}

@@ -31,41 +31,54 @@ var (
 	ErrIPTTL      = errors.New("netstack: TTL expired")
 )
 
+// parseIPv4Header is the one IPv4 header decoder: version, IHL, total
+// length, header checksum, flags/offset and TTL are read and checked
+// here and nowhere else. b holds at least the header and may be a frozen
+// prefix of a longer packet; pktLen is the whole packet's length and
+// bounds TotalLen. The header is decoded into h, which is meaningful
+// only when the error is nil.
+func parseIPv4Header(b []byte, pktLen int, h *IPv4Header) error {
+	if len(b) < IPv4HeaderBytes {
+		return ErrIPHeader
+	}
+	if b[0]>>4 != 4 {
+		return ErrIPVersion
+	}
+	hdrLen := int(b[0]&0x0F) * 4
+	if hdrLen < IPv4HeaderBytes || len(b) < hdrLen {
+		return ErrIPHeader
+	}
+	h.HdrLen = hdrLen
+	h.TotalLen = be16(b[2:4])
+	if int(h.TotalLen) < hdrLen || int(h.TotalLen) > pktLen {
+		return ErrIPHeader
+	}
+	if Checksum(b[:hdrLen]) != 0 {
+		return ErrIPChecksum
+	}
+	h.ID = be16(b[4:6])
+	fl := be16(b[6:8])
+	h.DF = fl&0x4000 != 0
+	h.MF = fl&0x2000 != 0
+	h.FragOff = (fl & 0x1FFF) * 8
+	h.TTL = b[8]
+	if h.TTL == 0 {
+		return ErrIPTTL
+	}
+	h.Proto = b[9]
+	copy(h.Src[:], b[12:16])
+	copy(h.Dst[:], b[16:20])
+	return nil
+}
+
 // ParseIPv4 decodes and validates an IPv4 header, returning the header
 // and the L4 payload (trimmed to TotalLen).
 func ParseIPv4(pkt []byte) (IPv4Header, []byte, error) {
 	var h IPv4Header
-	if len(pkt) < IPv4HeaderBytes {
-		return h, nil, ErrIPHeader
+	if err := parseIPv4Header(pkt, len(pkt), &h); err != nil {
+		return h, nil, err
 	}
-	if pkt[0]>>4 != 4 {
-		return h, nil, ErrIPVersion
-	}
-	hdrLen := int(pkt[0]&0x0F) * 4
-	if hdrLen < IPv4HeaderBytes || len(pkt) < hdrLen {
-		return h, nil, ErrIPHeader
-	}
-	h.HdrLen = hdrLen
-	h.TotalLen = be16(pkt[2:4])
-	if int(h.TotalLen) < hdrLen || int(h.TotalLen) > len(pkt) {
-		return h, nil, ErrIPHeader
-	}
-	if Checksum(pkt[:hdrLen]) != 0 {
-		return h, nil, ErrIPChecksum
-	}
-	h.ID = be16(pkt[4:6])
-	fl := be16(pkt[6:8])
-	h.DF = fl&0x4000 != 0
-	h.MF = fl&0x2000 != 0
-	h.FragOff = (fl & 0x1FFF) * 8
-	h.TTL = pkt[8]
-	if h.TTL == 0 {
-		return h, nil, ErrIPTTL
-	}
-	h.Proto = pkt[9]
-	copy(h.Src[:], pkt[12:16])
-	copy(h.Dst[:], pkt[16:20])
-	return h, pkt[hdrLen:h.TotalLen], nil
+	return h, pkt[h.HdrLen:h.TotalLen], nil
 }
 
 // MarshalIPv4 encodes an IPv4 packet (20-byte header, no options) around

@@ -67,10 +67,10 @@ type LinkDevice interface {
 // otherwise.
 type BatchLinkDevice interface {
 	LinkDevice
-	// SendFrames transmits the frames in order and returns the virtual
-	// time the last frame finished serializing. An error is reported
-	// only when the first frame fails; a partial run is success.
-	SendFrames(frames [][]byte, clk *vtime.Clock) (uint64, error)
+	// SendFrames transmits the frames in order and returns how many
+	// leading frames the device accepted. The error is the one that
+	// stopped the run and is nil when every frame went out.
+	SendFrames(frames [][]byte, clk *vtime.Clock) (int, error)
 }
 
 // Protocol numbers and EtherTypes used by the stack.

@@ -322,7 +322,7 @@ func TestShardBindCloseRecvRace(t *testing.T) {
 					return
 				}
 				for i := 0; i < 4; i++ {
-					if _, err := sock.RecvTimeout(&clk, 20*time.Millisecond); err != nil && !errors.Is(err, ErrTimeout) {
+					if _, err := recvWithin(sock, &clk, 20*time.Millisecond); err != nil && !errors.Is(err, ErrTimeout) {
 						t.Errorf("port %d: recv: %v", 9000+p, err)
 					}
 				}

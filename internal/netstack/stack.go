@@ -233,6 +233,11 @@ func (s *Stack) sendIP(proto byte, dst IP4, payload []byte, clk *vtime.Clock) (u
 	return s.sendIPTo(mac, proto, dst, payload, clk)
 }
 
+// nextHeader is the IPv4 header of the stack's next outgoing packet.
+func (s *Stack) nextHeader(proto byte, dst IP4) IPv4Header {
+	return IPv4Header{ID: uint16(s.ipID.Add(1)), TTL: 64, Proto: proto, Src: s.ip, Dst: dst}
+}
+
 // sendIPTo encapsulates an L4 payload and transmits it to a layer-2
 // destination already in hand, fragmenting to the MTU when necessary;
 // it returns the virtual time of the last fragment's serialization. No
@@ -242,13 +247,7 @@ func (s *Stack) sendIP(proto byte, dst IP4, payload []byte, clk *vtime.Clock) (u
 // and for established flows with a cached peer MAC, so hostile traffic
 // can neither block an FM pump on resolution nor grow shared ARP state.
 func (s *Stack) sendIPTo(mac [6]byte, proto byte, dst IP4, payload []byte, clk *vtime.Clock) (uint64, error) {
-	h := IPv4Header{
-		ID:    uint16(s.ipID.Add(1)),
-		TTL:   64,
-		Proto: proto,
-		Src:   s.ip,
-		Dst:   dst,
-	}
+	h := s.nextHeader(proto, dst)
 	end := clk.Now()
 	var err error
 	for _, pkt := range fragmentIPv4(h, payload, s.dev.MTU()) {
@@ -268,11 +267,14 @@ func (s *Stack) sendIPTo(mac [6]byte, proto byte, dst IP4, payload []byte, clk *
 // output the MAC is resolved once, every fragment of every payload is
 // framed up front, and the whole run is handed to the device in a single
 // call; otherwise it degrades to per-payload sendIP. It returns the
-// number of payloads transmitted and reports an error only when the
-// first payload failed.
+// number of payloads all of whose fragments went out, counts only those,
+// and reports an error only when the first payload failed.
 func (s *Stack) sendIPBatch(proto byte, dst IP4, payloads [][]byte, clk *vtime.Clock) (int, error) {
-	bdev, batched := s.dev.(BatchLinkDevice)
-	if !batched || len(payloads) <= 1 {
+	var bdev BatchLinkDevice
+	if len(payloads) > 1 { // a run of one gains nothing from the batched device
+		bdev, _ = s.dev.(BatchLinkDevice)
+	}
+	if bdev == nil {
 		for i, p := range payloads {
 			if _, err := s.sendIP(proto, dst, p, clk); err != nil {
 				if i == 0 {
@@ -290,22 +292,24 @@ func (s *Stack) sendIPBatch(proto byte, dst IP4, payloads [][]byte, clk *vtime.C
 	src := s.dev.MAC()
 	frames := make([][]byte, 0, len(payloads))
 	for _, payload := range payloads {
-		h := IPv4Header{
-			ID:    uint16(s.ipID.Add(1)),
-			TTL:   64,
-			Proto: proto,
-			Src:   s.ip,
-			Dst:   dst,
-		}
-		for _, pkt := range fragmentIPv4(h, payload, s.dev.MTU()) {
+		for _, pkt := range fragmentIPv4(s.nextHeader(proto, dst), payload, s.dev.MTU()) {
 			frames = append(frames, MarshalEth(EthHeader{Dst: mac, Src: src, Type: EtherTypeIPv4}, pkt))
 		}
 	}
-	if _, err := bdev.SendFrames(frames, clk); err != nil {
-		return 0, err
+	accepted, err := bdev.SendFrames(frames, clk)
+	// A payload is out once its last fragment — the one frame of it with
+	// MF clear — is inside the accepted prefix.
+	sent := 0
+	for _, f := range frames[:accepted] {
+		if f[EthHeaderBytes+6]&0x20 == 0 {
+			sent++
+		}
 	}
 	if s.cfg.Counters != nil {
-		s.cfg.Counters.PacketsTx.Add(uint64(len(payloads)))
+		s.cfg.Counters.PacketsTx.Add(uint64(sent))
 	}
-	return len(payloads), nil
+	if sent == 0 {
+		return 0, err
+	}
+	return sent, nil
 }

@@ -236,12 +236,25 @@ func TestUDPNonblockingAndClose(t *testing.T) {
 	}
 }
 
-func TestUDPRecvTimeout(t *testing.T) {
-	w := newWorld(t, nil)
-	srv, _ := w.b.UDPBind(5005)
-	var clk vtime.Clock
-	if _, err := srv.RecvTimeout(&clk, 20*time.Millisecond); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+// recvWithin is a blocking RecvFrom with a real-time cap, for tests that
+// must notice a datagram that never arrives. After a timeout the receive
+// is still parked on the socket (only Close unblocks it), so use it
+// where a late datagram no longer matters.
+func recvWithin(u *UDPSocket, clk *vtime.Clock, d time.Duration) (Datagram, error) {
+	type result struct {
+		d   Datagram
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		dg, err := u.RecvFrom(clk, true)
+		done <- result{dg, err}
+	}()
+	select {
+	case r := <-done:
+		return r.d, r.err
+	case <-time.After(d):
+		return Datagram{}, ErrTimeout
 	}
 }
 
@@ -289,7 +302,7 @@ func TestICMPEcho(t *testing.T) {
 	srv, _ := w.b.UDPBind(5007)
 	cli, _ := w.a.UDPBind(0)
 	cli.SendTo([]byte("after ping"), Addr{IP4{10, 0, 0, 2}, 5007}, &clk)
-	if _, err := srv.RecvTimeout(&clk, time.Second); err != nil {
+	if _, err := recvWithin(srv, &clk, time.Second); err != nil {
 		t.Fatalf("stack unhealthy after ICMP exchange: %v", err)
 	}
 }
@@ -321,5 +334,56 @@ func TestTrimmedStackRefusesTCP(t *testing.T) {
 	var clk vtime.Clock
 	if _, err := w.a.TCPConnect(Addr{IP4{10, 0, 0, 2}, 80}, &clk); !errors.Is(err, ErrTrimmed) {
 		t.Fatalf("TCPConnect on trimmed stack = %v, want ErrTrimmed", err)
+	}
+}
+
+// TestScalarSendIsBatchOfOne: SendTo is SendToN at width one — the same
+// charges to the caller's clock, the same frame on the link, and the
+// same heap cost: what one SendToN datagram allocates (the datagram, the
+// fragment list, the IP packet, the frame) and no more.
+func TestScalarSendIsBatchOfOne(t *testing.T) {
+	peer := Addr{IP: IP4{10, 0, 0, 1}, Port: 7}
+	link := &capLink{}
+	s, err := New(Config{Name: "enclave", Dev: link, IP: IP4{10, 0, 0, 9},
+		StaticARP: map[IP4][6]byte{peer.IP: {2, 0, 0, 0, 0, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	sock, err := s.UDPBind(4242)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0xA5}, 64)
+
+	var scalarClk, vectorClk vtime.Clock
+	if err := sock.SendTo(payload, peer, &scalarClk); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := sock.SendToN([][]byte{payload}, peer, &vectorClk); n != 1 || err != nil {
+		t.Fatalf("SendToN = %d, %v", n, err)
+	}
+	if scalarClk.Now() != vectorClk.Now() || scalarClk.Now() == 0 {
+		t.Fatalf("scalar send charged %d cycles, one-datagram vectored send %d", scalarClk.Now(), vectorClk.Now())
+	}
+	// The IP ID is the one field that moves between two sends.
+	a, b := link.frames[0], link.frames[1]
+	put16(a[EthHeaderBytes+4:], 0)
+	put16(b[EthHeaderBytes+4:], 0)
+	put16(a[EthHeaderBytes+10:], 0)
+	put16(b[EthHeaderBytes+10:], 0)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("frames differ:\n scalar %x\n vector %x", a, b)
+	}
+
+	s.dev = sinkDevice{mac: link.MAC()} // measure the stack, not the capture
+	var clk vtime.Clock
+	run := [][]byte{payload}
+	const perDatagram = 4
+	scalar := testing.AllocsPerRun(200, func() { sock.SendTo(payload, peer, &clk) })
+	vector := testing.AllocsPerRun(200, func() { sock.SendToN(run, peer, &clk) })
+	if scalar != vector || scalar > perDatagram {
+		t.Fatalf("SendTo allocates %v objects, a one-datagram SendToN %v; want equal and <= %d",
+			scalar, vector, perDatagram)
 	}
 }

@@ -90,23 +90,37 @@ type tcpSeg struct {
 	payload          []byte
 }
 
-func parseTCP(b []byte) (tcpSeg, bool) {
-	var s tcpSeg
+// parseTCPHeader is the one TCP header decoder. b starts at the TCP
+// header and may be a frozen prefix of the segment; l4len is the whole
+// segment's length. It accepts only when the entire header, options
+// included, lies inside both b and the segment; then it decodes the
+// header fields into s (payload untouched) and returns the data offset
+// in bytes.
+func parseTCPHeader(b []byte, l4len int, s *tcpSeg) (dataOff int, ok bool) {
 	if len(b) < TCPHeaderBytes {
-		return s, false
+		return 0, false
+	}
+	dataOff = int(b[12]>>4) * 4
+	if dataOff < TCPHeaderBytes || dataOff > l4len || dataOff > len(b) {
+		return 0, false
 	}
 	s.srcPort = be16(b[0:2])
 	s.dstPort = be16(b[2:4])
 	s.seq = be32(b[4:8])
 	s.ack = be32(b[8:12])
-	dataOff := int(b[12]>>4) * 4
-	if dataOff < TCPHeaderBytes || dataOff > len(b) {
-		return s, false
-	}
 	s.flags = b[13] & 0x3F
 	s.wnd = be16(b[14:16])
-	s.payload = b[dataOff:]
-	return s, true
+	return dataOff, true
+}
+
+// parseTCP decodes a whole segment: the header plus the payload slice.
+func parseTCP(b []byte) (tcpSeg, bool) {
+	var s tcpSeg
+	dataOff, ok := parseTCPHeader(b, len(b), &s)
+	if ok {
+		s.payload = b[dataOff:]
+	}
+	return s, ok
 }
 
 func marshalTCP(src, dst IP4, s tcpSeg) []byte {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rakis/internal/mem"
 	"rakis/internal/vtime"
@@ -247,12 +246,6 @@ func (s *Stack) UDPBind(port uint16) (*UDPSocket, error) {
 	return sock, nil
 }
 
-// lookupUDP finds the socket for a destination port on shard 0 (the
-// single-shard demux path).
-func (s *Stack) lookupUDP(port uint16) *UDPSocket {
-	return s.lookupUDPShard(port, 0)
-}
-
 // lookupUDPShard finds the socket for a destination port through the
 // shard's own demux replica — the only lock the hot path touches, and
 // one no other shard's pump ever takes.
@@ -264,24 +257,41 @@ func (s *Stack) lookupUDPShard(port uint16, shard int) *UDPSocket {
 	return sock
 }
 
+// udpHeader is a decoded UDP header.
+type udpHeader struct {
+	srcPort, dstPort uint16
+	length           int // the length field: header + payload
+	hasCsum          bool
+}
+
+// parseUDPHeader is the one UDP header decoder. b starts at the UDP
+// header and may be a frozen prefix of the datagram; l4len is the length
+// of the IP payload carrying it and bounds the length field. The header
+// is decoded into h, which is meaningful only on a true return.
+func parseUDPHeader(b []byte, l4len int, h *udpHeader) bool {
+	if len(b) < UDPHeaderBytes {
+		return false
+	}
+	h.srcPort = be16(b[0:2])
+	h.dstPort = be16(b[2:4])
+	h.length = int(be16(b[4:6]))
+	h.hasCsum = be16(b[6:8]) != 0
+	return h.length >= UDPHeaderBytes && h.length <= l4len
+}
+
 // inputUDP demuxes one UDP datagram to its socket's shard queue.
 func (s *Stack) inputUDP(h IPv4Header, payload, origPkt []byte, clk *vtime.Clock, shard int) {
-	if len(payload) < UDPHeaderBytes {
+	var uh udpHeader
+	if !parseUDPHeader(payload, len(payload), &uh) {
 		return
 	}
-	srcPort := be16(payload[0:2])
-	dstPort := be16(payload[2:4])
-	ulen := int(be16(payload[4:6]))
-	if ulen < UDPHeaderBytes || ulen > len(payload) {
-		return
-	}
-	if be16(payload[6:8]) != 0 { // checksum present
-		sum := pseudoHeaderSum(h.Src, h.Dst, ProtoUDP, ulen)
-		if checksumFold(checksumPartial(sum, payload[:ulen])) != 0 {
+	if uh.hasCsum {
+		sum := pseudoHeaderSum(h.Src, h.Dst, ProtoUDP, uh.length)
+		if checksumFold(checksumPartial(sum, payload[:uh.length])) != 0 {
 			return
 		}
 	}
-	sock := s.lookupUDPShard(dstPort, shard)
+	sock := s.lookupUDPShard(uh.dstPort, shard)
 	if sock == nil {
 		s.sendPortUnreachable(h, origPkt, clk)
 		return
@@ -289,10 +299,10 @@ func (s *Stack) inputUDP(h IPv4Header, payload, origPkt []byte, clk *vtime.Clock
 	// Socket-layer work. Per-socket locks are held for far less than a
 	// scheduling quantum, so it charges plain time.
 	clk.Charge(vtime.CompStack, s.model.SocketOp)
-	data := make([]byte, ulen-UDPHeaderBytes)
-	copy(data, payload[UDPHeaderBytes:ulen])
+	data := make([]byte, uh.length-UDPHeaderBytes)
+	copy(data, payload[UDPHeaderBytes:uh.length])
 	clk.Charge(vtime.CompCopy, vtime.Bytes(s.model.KernelCopyPerByte, len(data)))
-	d := Datagram{Payload: data, Src: Addr{IP: h.Src, Port: srcPort}, Stamp: clk.Now()}
+	d := Datagram{Payload: data, Src: Addr{IP: h.Src, Port: uh.srcPort}, Stamp: clk.Now()}
 	sock.enqueue(d, s, shard)
 }
 
@@ -393,28 +403,21 @@ func (u *UDPSocket) buildDatagram(payload []byte, dst Addr) []byte {
 	return dgram
 }
 
-// SendTo transmits one datagram to dst, charging the caller's clock for
-// socket and stack work and pacing on the wire.
+// SendTo transmits one datagram to dst: SendToN at width one, on a stack
+// array.
 func (u *UDPSocket) SendTo(payload []byte, dst Addr, clk *vtime.Clock) error {
-	if len(payload) > MaxUDPPayload {
-		return ErrMsgSize
-	}
-	u.mu.Lock()
-	closed := u.closed
-	u.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	s := u.stack
-	clk.Charge(vtime.CompStack, s.cfg.PerPacketCost)
-	clk.Charge(vtime.CompStack, s.model.SocketOp)
-	_, err := s.sendIP(ProtoUDP, dst.IP, u.buildDatagram(payload, dst), clk)
+	run := [1][]byte{payload}
+	_, err := u.SendToN(run[:], dst, clk)
 	return err
 }
 
-// SendToN transmits up to len(payloads) datagrams to dst as one batched
-// run through the stack's batched IP path. Per-datagram stack and socket
-// work is charged exactly as in SendTo — only the link-layer call count
+// sendRunStack is how many datagrams SendToN assembles without touching
+// the heap: the widest vector the tuner advises.
+const sendRunStack = 32
+
+// SendToN transmits up to len(payloads) datagrams to dst as one run
+// through the stack's batched IP path, charging the caller's clock for
+// each datagram's stack and socket work — only the link-layer call count
 // is amortized. Semantics follow sendmmsg: it returns the number of
 // datagrams sent, reporting an error only when the first fails.
 func (u *UDPSocket) SendToN(payloads [][]byte, dst Addr, clk *vtime.Clock) (int, error) {
@@ -438,11 +441,15 @@ func (u *UDPSocket) SendToN(payloads [][]byte, dst Addr, clk *vtime.Clock) (int,
 		return 0, ErrClosed
 	}
 	s := u.stack
-	dgrams := make([][]byte, n)
-	for i, p := range payloads[:n] {
+	var local [sendRunStack][]byte
+	dgrams := local[:0]
+	if n > sendRunStack {
+		dgrams = make([][]byte, 0, n)
+	}
+	for _, p := range payloads[:n] {
 		clk.Charge(vtime.CompStack, s.cfg.PerPacketCost)
 		clk.Charge(vtime.CompStack, s.model.SocketOp)
-		dgrams[i] = u.buildDatagram(p, dst)
+		dgrams = append(dgrams, u.buildDatagram(p, dst))
 	}
 	return s.sendIPBatch(ProtoUDP, dst.IP, dgrams, clk)
 }
@@ -487,34 +494,6 @@ func (u *UDPSocket) RecvFrom(clk *vtime.Clock, block bool) (Datagram, error) {
 				return d, nil
 			}
 			return Datagram{}, ErrClosed
-		}
-	}
-}
-
-// RecvTimeout is RecvFrom with a real-time cap on the wait, used by
-// workload drivers to detect quiescence.
-func (u *UDPSocket) RecvTimeout(clk *vtime.Clock, d time.Duration) (Datagram, error) {
-	if dg, ok := u.pop(); ok {
-		u.finishRecv(&dg, clk)
-		return dg, nil
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	for {
-		select {
-		case <-u.wake:
-			if dg, ok := u.pop(); ok {
-				u.finishRecv(&dg, clk)
-				return dg, nil
-			}
-		case <-u.closeC:
-			if dg, ok := u.pop(); ok {
-				u.finishRecv(&dg, clk)
-				return dg, nil
-			}
-			return Datagram{}, ErrClosed
-		case <-timer.C:
-			return Datagram{}, ErrTimeout
 		}
 	}
 }

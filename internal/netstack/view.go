@@ -87,104 +87,49 @@ func (s *Stack) InputViewShard(v mem.View, clk *vtime.Clock, shard int) {
 }
 
 // viewFrameInfo is the trusted digest of a mainstream frame header,
-// produced by validateViewHeader from the frozen snapshot.
+// produced by validateViewHeader from the frozen snapshot: the decoded
+// IPv4 header and the decoded header of whichever L4 protocol it names.
 type viewFrameInfo struct {
-	proto    byte
-	ihl      int // IPv4 header length in bytes
-	totalLen int // IPv4 total length
-	ulen     int // UDP length field (header + payload)
-	l4len    int // L4 segment length (totalLen - ihl)
-	dataOff  int // TCP data offset in bytes
-	srcIP    IP4
-	dstIP    IP4
-	srcPort  uint16
-	dstPort  uint16
-	ethSrc   [6]byte
-	hasCsum  bool
+	ethSrc  [6]byte
+	ip      IPv4Header
+	udp     udpHeader // ip.Proto == ProtoUDP
+	tcp     tcpSeg    // ip.Proto == ProtoTCP; payload unset
+	dataOff int       // TCP data offset in bytes
 }
 
+// l4len is the L4 segment length the IP envelope declares.
+func (fi *viewFrameInfo) l4len() int { return int(fi.ip.TotalLen) - fi.ip.HdrLen }
+
 // validateViewHeader runs every gating check of the in-place parse on
-// the frozen header snapshot: Ethernet type, IPv4 version/ihl/total
-// length/header checksum, no fragmentation, live TTL, a UDP or TCP
-// protocol field, and an L4 header consistent with the IP envelope —
-// all against frameLen, the certified frame length. A true return means
-// the header fields in the digest are safe to use as offsets and bounds
+// the frozen header snapshot, through the same decoders the copying
+// path uses: Ethernet type, parseIPv4Header against frameLen (the
+// certified frame length), no fragmentation, and parseUDPHeader or
+// parseTCPHeader against the IP envelope. A true return means the
+// header fields in the digest are safe to use as offsets and bounds
 // within the snapshot and the frame; for TCP it additionally means the
 // whole TCP header (options included) lies inside the snapshot, so
-// every handshake and sequencing decision reads frozen bytes.
+// every handshake and sequencing decision reads frozen bytes (ihl ≤ 60
+// and dataOff ≤ 60 keep the sum under viewHeaderSnapMax whenever it is
+// inside the frame).
 //
 //rakis:validator
-func validateViewHeader(hdr mem.Snap, frameLen int) (viewFrameInfo, bool) {
-	var fi viewFrameInfo
-	hn := len(hdr)
-	if hn < EthHeaderBytes+IPv4HeaderBytes+UDPHeaderBytes {
+func validateViewHeader(hdr mem.Snap, frameLen int) (fi viewFrameInfo, ok bool) {
+	if len(hdr) < EthHeaderBytes || be16(hdr[12:14]) != EtherTypeIPv4 {
 		return fi, false
 	}
-	if be16(hdr[12:14]) != EtherTypeIPv4 {
-		return fi, false
-	}
-	ip := hdr[EthHeaderBytes:]
-	if ip[0]>>4 != 4 {
-		return fi, false
-	}
-	ihl := int(ip[0]&0x0F) * 4
-	if ihl < IPv4HeaderBytes || EthHeaderBytes+ihl+UDPHeaderBytes > hn {
-		return fi, false
-	}
-	totalLen := int(be16(ip[2:4]))
-	if totalLen < ihl+UDPHeaderBytes || EthHeaderBytes+totalLen > frameLen {
-		return fi, false
-	}
-	if Checksum(ip[:ihl]) != 0 {
-		return fi, false
-	}
-	fl := be16(ip[6:8])
-	if fl&0x2000 != 0 || fl&0x1FFF != 0 { // fragment: reassembly copies anyway
-		return fi, false
-	}
-	if ip[8] == 0 { // TTL expired
-		return fi, false
-	}
-	copy(fi.srcIP[:], ip[12:16])
-	copy(fi.dstIP[:], ip[16:20])
 	copy(fi.ethSrc[:], hdr[6:12])
-	fi.proto = ip[9]
-	fi.ihl, fi.totalLen = ihl, totalLen
-	fi.l4len = totalLen - ihl
-	switch fi.proto {
-	case ProtoUDP:
-		udp := hdr[EthHeaderBytes+ihl:]
-		fi.srcPort = be16(udp[0:2])
-		fi.dstPort = be16(udp[2:4])
-		fi.ulen = int(be16(udp[4:6]))
-		if fi.ulen < UDPHeaderBytes || fi.ulen > fi.l4len {
-			return fi, false
-		}
-		fi.hasCsum = be16(udp[6:8]) != 0
-		return fi, true
-	case ProtoTCP:
-		if fi.l4len < TCPHeaderBytes {
-			return fi, false
-		}
-		tcp := hdr[EthHeaderBytes+ihl:]
-		if EthHeaderBytes+ihl+TCPHeaderBytes > hn {
-			return fi, false
-		}
-		fi.srcPort = be16(tcp[0:2])
-		fi.dstPort = be16(tcp[2:4])
-		fi.dataOff = int(tcp[12]>>4) * 4
-		// The option field must fit both the IP envelope and the frozen
-		// snapshot (ihl ≤ 60 and dataOff ≤ 60 keep the sum under
-		// viewHeaderSnapMax whenever it is inside the frame).
-		if fi.dataOff < TCPHeaderBytes || fi.dataOff > fi.l4len ||
-			EthHeaderBytes+ihl+fi.dataOff > hn {
-			return fi, false
-		}
-		fi.hasCsum = true // TCP checksum is mandatory
-		return fi, true
-	default:
-		return fi, false
+	ip := hdr[EthHeaderBytes:]
+	if parseIPv4Header(ip, frameLen-EthHeaderBytes, &fi.ip) != nil || fi.ip.MF || fi.ip.FragOff != 0 {
+		return fi, false // fragments too: reassembly copies anyway
 	}
+	l4 := ip[fi.ip.HdrLen:]
+	switch fi.ip.Proto {
+	case ProtoUDP:
+		ok = parseUDPHeader(l4, fi.l4len(), &fi.udp)
+	case ProtoTCP:
+		fi.dataOff, ok = parseTCPHeader(l4, fi.l4len(), &fi.tcp)
+	}
+	return fi, ok
 }
 
 // inputViewInPlace handles the mainstream UDP shape in place and reports
@@ -206,17 +151,18 @@ func (s *Stack) inputViewInPlace(v *mem.View, clk *vtime.Clock, shard int) bool 
 	if !ok {
 		return false
 	}
-	if fi.dstIP != s.ip {
+	if fi.ip.Dst != s.ip {
 		return false
 	}
-	if fi.proto == ProtoTCP {
+	if fi.ip.Proto == ProtoTCP {
 		return s.inputViewTCP(v, hdr, fi, clk, shard)
 	}
-	udpOff := EthHeaderBytes + fi.ihl
-	spliceDev := s.spliceFor(fi.dstPort)
+	udpOff := EthHeaderBytes + fi.ip.HdrLen
+	ulen := fi.udp.length
+	spliceDev := s.spliceFor(fi.udp.dstPort)
 	var sock *UDPSocket
 	if spliceDev == nil {
-		if sock = s.lookupUDPShard(fi.dstPort, shard); sock == nil {
+		if sock = s.lookupUDPShard(fi.udp.dstPort, shard); sock == nil {
 			return false // port unreachable: the copy path answers it
 		}
 	}
@@ -225,19 +171,19 @@ func (s *Stack) inputViewInPlace(v *mem.View, clk *vtime.Clock, shard int) bool 
 	// exactly as the copy path would consume it — same charges, same
 	// counters, same drop points — minus the copies.
 	clk.Charge(vtime.CompStack, s.cfg.PerPacketCost)
-	s.arp.learn(fi.srcIP, fi.ethSrc)
+	s.arp.learn(fi.ip.Src, fi.ethSrc)
 	if s.cfg.Counters != nil {
 		s.cfg.Counters.PacketsRx.Add(1)
-		s.cfg.Counters.BytesRx.Add(uint64(fi.totalLen - fi.ihl))
+		s.cfg.Counters.BytesRx.Add(uint64(fi.l4len()))
 	}
-	if fi.hasCsum {
-		sum := pseudoHeaderSum(fi.srcIP, fi.dstIP, ProtoUDP, fi.ulen)
+	if fi.udp.hasCsum {
+		sum := pseudoHeaderSum(fi.ip.Src, fi.ip.Dst, ProtoUDP, ulen)
 		sum = checksumPartial(sum, hdr[udpOff:udpOff+UDPHeaderBytes])
-		if fi.ulen > UDPHeaderBytes {
+		if ulen > UDPHeaderBytes {
 			// The single sanctioned payload traversal: one pass, no
 			// decisions on individual bytes, 16-bit alignment preserved
 			// by splitting at the even UDP-header boundary.
-			live, rerr := v.Range(udpOff+UDPHeaderBytes, fi.ulen-UDPHeaderBytes)
+			live, rerr := v.Range(udpOff+UDPHeaderBytes, ulen-UDPHeaderBytes)
 			if rerr != nil {
 				v.Release()
 				return true
@@ -250,48 +196,50 @@ func (s *Stack) inputViewInPlace(v *mem.View, clk *vtime.Clock, shard int) bool 
 		}
 	}
 	if spliceDev != nil {
-		s.spliceEcho(v, hdr, fi.ihl, fi.totalLen, clk, spliceDev)
+		s.spliceEcho(v, hdr, fi.ip.HdrLen, int(fi.ip.TotalLen), clk, spliceDev)
 		return true
 	}
 	clk.Charge(vtime.CompStack, s.model.SocketOp)
-	pv, err := v.Slice(udpOff+UDPHeaderBytes, fi.ulen-UDPHeaderBytes)
+	pv, err := v.Slice(udpOff+UDPHeaderBytes, ulen-UDPHeaderBytes)
 	if err != nil {
 		v.Release()
 		return true
 	}
-	sock.enqueue(ViewDatagram(pv, Addr{IP: fi.srcIP, Port: fi.srcPort}, clk.Now()), s, shard)
+	sock.enqueue(ViewDatagram(pv, Addr{IP: fi.ip.Src, Port: fi.udp.srcPort}, clk.Now()), s, shard)
 	return true
 }
 
 // inputViewTCP ingests one mainstream TCP segment from a certified view.
 // The trust discipline is stricter than the UDP path's, because TCP
 // bytes drive a state machine: every header decision (ports, sequence
-// numbers, flags, window, data offset) reads the frozen snapshot, and
-// the payload is copied into trusted memory in a single pass *before*
-// the checksum is verified over pseudo-header + frozen header + trusted
-// copy. Untrusted frame bytes are therefore read exactly once each — a
-// host rewriting the frame after certification can only produce a
-// checksum mismatch (deterministic drop), never a byte stream that
-// differs from what was verified.
+// numbers, flags, window, data offset) was decoded from the frozen
+// snapshot by validateViewHeader, and the payload is copied into trusted
+// memory in a single pass *before* the checksum is verified over
+// pseudo-header + frozen header + trusted copy. Untrusted frame bytes
+// are therefore read exactly once each — a host rewriting the frame
+// after certification can only produce a checksum mismatch
+// (deterministic drop), never a byte stream that differs from what was
+// verified.
 func (s *Stack) inputViewTCP(v *mem.View, hdr mem.Snap, fi viewFrameInfo, clk *vtime.Clock, shard int) bool {
 	if s.tcp == nil {
 		return false // trimmed UDP-only build: fallback path drops it
 	}
-	l4Off := EthHeaderBytes + fi.ihl
+	l4Off := EthHeaderBytes + fi.ip.HdrLen
+	l4len := fi.l4len()
 	clk.Charge(vtime.CompStack, s.cfg.PerPacketCost)
 	if s.cfg.Counters != nil {
 		s.cfg.Counters.PacketsRx.Add(1)
-		s.cfg.Counters.BytesRx.Add(uint64(fi.l4len))
+		s.cfg.Counters.BytesRx.Add(uint64(l4len))
 	}
 
 	// One boundary copy of the payload, charged like every app-boundary
 	// crossing. (The TCP receive buffer is trusted memory; unlike a UDP
 	// datagram a segment cannot be parked in untrusted memory awaiting
 	// recv, because ACKing it promises the bytes are safely ours.)
-	var payload []byte
-	if n := fi.l4len - fi.dataOff; n > 0 {
-		payload = make([]byte, n)
-		if _, err := v.CopyOut(payload, l4Off+fi.dataOff); err != nil {
+	seg := fi.tcp
+	if n := l4len - fi.dataOff; n > 0 {
+		seg.payload = make([]byte, n)
+		if _, err := v.CopyOut(seg.payload, l4Off+fi.dataOff); err != nil {
 			v.Release()
 			return true // stale view
 		}
@@ -301,26 +249,15 @@ func (s *Stack) inputViewTCP(v *mem.View, hdr mem.Snap, fi viewFrameInfo, clk *v
 	// Checksum over pseudo-header, the frozen TCP header, and the
 	// trusted payload copy — never over live untrusted bytes. dataOff is
 	// a multiple of 4, so 16-bit alignment is preserved at the split.
-	sum := pseudoHeaderSum(fi.srcIP, fi.dstIP, ProtoTCP, fi.l4len)
+	sum := pseudoHeaderSum(fi.ip.Src, fi.ip.Dst, ProtoTCP, l4len)
 	sum = checksumPartial(sum, hdr[l4Off:l4Off+fi.dataOff])
-	sum = checksumPartial(sum, payload)
+	sum = checksumPartial(sum, seg.payload)
 	if checksumFold(sum) != 0 {
 		v.Release()
 		return true
 	}
-
-	tcp := hdr[l4Off:]
-	seg := tcpSeg{
-		srcPort: fi.srcPort,
-		dstPort: fi.dstPort,
-		seq:     be32(tcp[4:8]),
-		ack:     be32(tcp[8:12]),
-		flags:   tcp[13] & 0x3F,
-		wnd:     be16(tcp[14:16]),
-		payload: payload,
-	}
 	v.Release() // frame economy: the segment now lives in trusted memory
-	s.tcp.inputSeg(fi.srcIP, seg, clk, shard, &fi.ethSrc)
+	s.tcp.inputSeg(fi.ip.Src, seg, clk, shard, &fi.ethSrc)
 	return true
 }
 

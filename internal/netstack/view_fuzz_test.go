@@ -29,37 +29,26 @@ func (releaseSplice) SpliceFrame(v *mem.View, n uint32, clk *vtime.Clock) error 
 	return v.Release()
 }
 
-// fuzzViewWorld builds the long-lived view-fuzzing harness: one bound
-// socket for the in-place delivery branch and one spliced port for the
-// echo-rewrite branch.
-func fuzzViewWorld(t testing.TB) (*viewHarness, *UDPSocket) {
-	h := newViewHarness(t)
-	sock, err := h.stack.UDPBind(4242)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.stack.SpliceUDPEcho(7, releaseSplice{})
-	return h, sock
+// fuzzViewWorld builds the long-lived view-fuzzing harness: the stack
+// under test behind InputView, with one bound socket for the in-place
+// delivery branch and one spliced port for the echo-rewrite branch, and
+// its Input-side twin (same configuration, same socket, no splice — a
+// spliced frame is consumed in place, which Input sees as a datagram to
+// an unbound port: nothing delivered, nothing emitted, one packet
+// counted).
+func fuzzViewWorld(t testing.TB) *doorPair {
+	p := newDoorPair(t, newViewHarness(t))
+	p.h.stack.SpliceUDPEcho(7, releaseSplice{})
+	return p
 }
 
-// fuzzViewInject runs one frame through the in-place parser and checks
-// the frame-economy invariant.
-func fuzzViewInject(t testing.TB, h *viewHarness, sock *UDPSocket, data []byte) {
-	if len(data) > int(h.u.FrameSize()) {
-		data = data[:h.u.FrameSize()]
-	}
-	v, _ := h.mintView(t, data)
-	var clk vtime.Clock
-	h.stack.InputView(v, &clk)
-	for {
-		d, err := sock.RecvFrom(&clk, false)
-		if err != nil {
-			break
-		}
-		d.Bytes() // materialize: the single app-boundary copy, releases the view
-	}
-	if free := h.u.FreeFrames(); free != int(h.u.FrameCount()) {
-		t.Fatalf("frame leaked: free = %d, want %d", free, h.u.FrameCount())
+// fuzzViewInject runs one frame through the in-place parser, checks the
+// frame-economy invariant, and holds the result against what Input makes
+// of the same bytes, so the campaign searches for a frame the two front
+// doors treat differently.
+func fuzzViewInject(t testing.TB, p *doorPair, data []byte) {
+	if err := p.agree(t, data); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -144,9 +133,9 @@ func FuzzInputView(f *testing.F) {
 	for _, data := range viewHostileFrames() {
 		f.Add(data)
 	}
-	h, sock := fuzzViewWorld(f)
+	w := fuzzViewWorld(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzViewInject(t, h, sock, data)
+		fuzzViewInject(t, w, data)
 	})
 }
 
@@ -171,9 +160,9 @@ func TestViewFuzzCorpus(t *testing.T) {
 		return
 	}
 
-	h, sock := fuzzViewWorld(t)
+	w := fuzzViewWorld(t)
 	for name, data := range frames {
-		fuzzViewInject(t, h, sock, data)
+		fuzzViewInject(t, w, data)
 		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Errorf("%s: corpus file missing (regenerate with RAKIS_WRITE_CORPUS=1): %v", name, err)

@@ -151,51 +151,28 @@ func (l *XskLink) SendFrame(data []byte, clk *vtime.Clock) (uint64, error) {
 
 // SendFrames transmits a run of frames as one batched publish per ring
 // pass, implementing netstack.BatchLinkDevice for the stack's batched IP
-// path. The run is partitioned by TX shard first — a batched send from
-// one socket is a single flow, so the common case is one partition — and
-// each partition goes out through its own queue's ring. An error is
-// reported only when the first frame fails.
-func (l *XskLink) SendFrames(frames [][]byte, clk *vtime.Clock) (uint64, error) {
+// path. A batched send from one socket is a single flow, so the run is
+// normally one TX shard's and goes out in one call; a mixed run goes out
+// as its maximal same-shard stretches, in order. It returns how many
+// leading frames went out and the error of the first that did not,
+// stopping there — a ring still full after the ladder reads ErrRingFull
+// here exactly as it does from SendFrame.
+func (l *XskLink) SendFrames(frames [][]byte, clk *vtime.Clock) (int, error) {
 	errs := make([]error, len(frames))
-	first := l.txShard(frames[0])
-	var shards []int // allocated only once a second shard shows up
-	for i := 1; i < len(frames); i++ {
-		s := l.txShard(frames[i])
-		if shards == nil && s != first {
-			shards = make([]int, len(frames))
-			for j := 0; j < i; j++ {
-				shards[j] = first
+	for start := 0; start < len(frames); {
+		shard, end := l.txShard(frames[start]), start+1
+		for end < len(frames) && l.txShard(frames[end]) == shard {
+			end++
+		}
+		l.sendBatchRetry(shard, frames[start:end], errs[start:end], clk)
+		for i := start; i < end; i++ {
+			if errs[i] != nil {
+				return i, errs[i]
 			}
 		}
-		if shards != nil {
-			shards[i] = s
-		}
+		start = end
 	}
-	if shards == nil {
-		l.sendBatchRetry(first, frames, errs, clk)
-	} else {
-		// Mixed run: send each shard's subsequence as its own batch,
-		// preserving per-flow order (a flow only ever has one shard).
-		for sh := range l.socks {
-			var sub [][]byte
-			var idx []int
-			for i, s := range shards {
-				if s == sh {
-					sub = append(sub, frames[i])
-					idx = append(idx, i)
-				}
-			}
-			if len(sub) == 0 {
-				continue
-			}
-			subErrs := make([]error, len(sub))
-			l.sendBatchRetry(sh, sub, subErrs, clk)
-			for j, i := range idx {
-				errs[i] = subErrs[j]
-			}
-		}
-	}
-	return clk.Now(), errs[0]
+	return len(frames), nil
 }
 
 // sendBatchRetry pushes a frame run through one shard's SendBatch,
@@ -441,6 +418,16 @@ func PollCached(srcs []PollSource, timeout time.Duration, sp *SyncProxy, model *
 		}
 		return nil
 	}
+	cancelRest := func() {
+		if cache != nil {
+			return // keep un-fired polls armed for the next call
+		}
+		for i := range srcs {
+			if armed[i] {
+				sp.FM.CancelPoll(tokens[i], clk)
+			}
+		}
+	}
 	var needArm []int
 	for i := range srcs {
 		srcs[i].Revents = 0
@@ -477,17 +464,10 @@ func PollCached(srcs []PollSource, timeout time.Duration, sp *SyncProxy, model *
 			}
 		}
 		if err != nil {
+			// A partial arm: the armed prefix must not outlive the call,
+			// or its tokens sit in the ring's outstanding set for good.
+			cancelRest()
 			return 0, err
-		}
-	}
-	cancelRest := func() {
-		if cache != nil {
-			return // keep un-fired polls armed for the next call
-		}
-		for i := range srcs {
-			if armed[i] {
-				sp.FM.CancelPoll(tokens[i], clk)
-			}
 		}
 	}
 

@@ -342,7 +342,13 @@ func TestSendFrameIsBatchOfOne(t *testing.T) {
 		return o
 	}
 	scalar := run(func(l *XskLink, clk *vtime.Clock) (uint64, error) { return l.SendFrame(frame, clk) })
-	vector := run(func(l *XskLink, clk *vtime.Clock) (uint64, error) { return l.SendFrames([][]byte{frame}, clk) })
+	vector := run(func(l *XskLink, clk *vtime.Clock) (uint64, error) {
+		n, err := l.SendFrames([][]byte{frame}, clk)
+		if err == nil && n != 1 {
+			t.Errorf("SendFrames accepted %d frames, want 1", n)
+		}
+		return clk.Now(), err
+	})
 	if scalar != vector {
 		t.Fatalf("scalar and one-frame vectored sends differ:\n scalar %+v\n vector %+v", scalar, vector)
 	}
@@ -515,5 +521,98 @@ func TestFragmentsLeaveOnOneLane(t *testing.T) {
 	if got, stray := r.link.ShardTx(lane), r.link.ShardTx(1-lane); got != 6 || stray != 0 {
 		t.Fatalf("lane %d carried %d fragments and lane %d carried %d, want all 6 on lane %d",
 			lane, got, 1-lane, stray, lane)
+	}
+}
+
+// TestVectoredSendReportsWhatWentOut: with the TX ring held full past
+// the ladder, a vectored send reports the datagrams that actually went
+// out — none of them and ErrRingFull when the first is dropped, exactly
+// as the scalar send does; the leading ones that fit otherwise — and
+// PacketsTx counts only those.
+func TestVectoredSendReportsWhatWentOut(t *testing.T) {
+	peer := netstack.Addr{IP: netstack.IP4{10, 0, 0, 1}, Port: 7}
+	r := newLinkRig(t, 1, 8, 32)
+	ctrs := &vtime.Counters{}
+	stack, err := netstack.New(netstack.Config{Name: "enclave", Dev: r.link, IP: netstack.IP4{10, 0, 0, 3},
+		Counters: ctrs, StaticARP: map[netstack.IP4][6]byte{peer.IP: {2, 0, 0, 0, 0, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stack.Close)
+	sock, err := stack.UDPBind(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clk vtime.Clock
+	run := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}
+
+	// Six of the eight slots taken: the run's first two datagrams fit.
+	for i := 0; i < 6; i++ {
+		if err := sock.SendTo([]byte{byte(i)}, peer, &clk); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	if n, err := sock.SendToN(run, peer, &clk); n != 2 || err != nil {
+		t.Fatalf("run into 2 free slots: sent %d, %v; want 2, nil", n, err)
+	}
+	if got := ctrs.PacketsTx.Load(); got != 8 {
+		t.Fatalf("PacketsTx = %d, want 8 (6 scalar + the 2 that fit)", got)
+	}
+
+	// Ring full: nothing of the run goes out, vectored or scalar.
+	if n, err := sock.SendToN(run, peer, &clk); n != 0 || !errors.Is(err, xsk.ErrRingFull) {
+		t.Fatalf("run into a full ring: sent %d, %v; want 0, ErrRingFull", n, err)
+	}
+	if err := sock.SendTo(run[0], peer, &clk); !errors.Is(err, xsk.ErrRingFull) {
+		t.Fatalf("scalar send into a full ring: %v, want ErrRingFull", err)
+	}
+	frames := [][]byte{{1}, {2}, {3}, {4}}
+	if n, err := r.link.SendFrames(frames, &clk); n != 0 || !errors.Is(err, xsk.ErrRingFull) {
+		t.Fatalf("SendFrames into a full ring: %d, %v; want 0, ErrRingFull", n, err)
+	}
+	if got := ctrs.PacketsTx.Load(); got != 8 {
+		t.Fatalf("PacketsTx = %d after the dropped runs, want 8", got)
+	}
+	if wire := r.drain(t, 0); len(wire) != 8 {
+		t.Fatalf("%d frames on the wire, want 8", len(wire))
+	}
+}
+
+// TestPollCancelsPartialArm: a poll set wider than iSub, with no kernel
+// consuming, arms a prefix and then fails. The armed prefix must be
+// cancelled before the error returns, or its tokens stay outstanding for
+// the life of the ring (and pin reconcileSub off with them).
+func TestPollCancelsPartialArm(t *testing.T) {
+	const entries = 4
+	sp := mem.NewSpace(1<<16, 1<<20)
+	alloc := func(n uint64) mem.Addr {
+		a, err := sp.Alloc(mem.Untrusted, n, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	ringFM, err := iouring.Attach(iouring.Config{Space: sp, Entries: entries, Setup: iouring.Setup{FD: 3,
+		SubBase:   alloc(ring.TotalBytes(entries, iouring.SQEBytes)),
+		ComplBase: alloc(ring.TotalBytes(entries, iouring.CQEBytes))}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ufm, err := fm.NewUringFM(ringFM, sp, nil, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := NewSyncProxy(ufm, nil)
+	before := ringFM.Outstanding()
+	srcs := make([]PollSource, entries+2)
+	for i := range srcs {
+		srcs[i] = PollSource{HostFD: 10 + i, Events: PollIn}
+	}
+	var clk vtime.Clock
+	if _, err := Poll(srcs, 0, proxy, nil, &clk); !errors.Is(err, iouring.ErrFull) {
+		t.Fatalf("poll wider than iSub: err = %v, want ErrFull", err)
+	}
+	if got := ringFM.Outstanding(); got != before {
+		t.Fatalf("%d polls still outstanding after the failed Poll, want %d", got, before)
 	}
 }

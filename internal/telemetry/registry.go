@@ -22,9 +22,6 @@ func (c *Counter) Add(d uint64) {
 	}
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Load returns the counter's value (0 on nil).
 func (c *Counter) Load() uint64 {
 	if c == nil {

@@ -114,16 +114,6 @@ func (t *Tracer) Enable() {
 	}
 }
 
-// Disable stops recording; already-captured events remain readable.
-func (t *Tracer) Disable() {
-	if t != nil {
-		t.on.Store(false)
-	}
-}
-
-// Enabled reports whether the tracer is recording.
-func (t *Tracer) Enabled() bool { return t != nil && t.on.Load() }
-
 // slotWords is the flat atomic words per event slot: packed
 // sequence+kind, virtual-time stamp, and two opaque arguments. The
 // sequence word is stored last, so a fully published slot always has a

@@ -105,7 +105,7 @@ func DefaultParams() Params {
 		PollOn:    8, PollOff: 2,
 		Guard:     4,
 		IdleGuard: 8,
-		MinRing: 256, MaxRing: 4096,
+		MinRing:   256, MaxRing: 4096,
 		Headroom:      8,
 		FramesPerSlot: 4,
 	}
@@ -269,9 +269,9 @@ func New(p Params, state *State) *Tuner {
 	}
 	t := &Tuner{p: p, state: state}
 	t.cur = Decision{
-		Batch: p.MinBatch,
-		Mode:  ModeWakeup,
-		Ring:  p.MinRing,
+		Batch:  p.MinBatch,
+		Mode:   ModeWakeup,
+		Ring:   p.MinRing,
 		Frames: p.MinRing * p.FramesPerSlot,
 	}
 	t.cur = t.clamp(t.cur)

@@ -72,18 +72,10 @@ type redisConn struct {
 	buf []byte
 }
 
-// RedisServer runs the event loop until SHUTDOWN, multiplexing with
-// poll (the paper's select) over the listener and every live connection.
-func RedisServer(t sys.Sys, port uint16, ready chan<- struct{}) error {
-	return redisServer(t, port, ready, false)
-}
-
-// RedisServerEpoll is the epoll-based event loop — the variant the
-// paper could not run (§6.2: "RAKIS does not currently support epoll").
-func RedisServerEpoll(t sys.Sys, port uint16, ready chan<- struct{}) error {
-	return redisServer(t, port, ready, true)
-}
-
+// redisServer runs the event loop until SHUTDOWN, multiplexing over the
+// listener and every live connection with poll (the paper's select) or,
+// with useEpoll, the epoll variant the paper could not run (§6.2: "RAKIS
+// does not currently support epoll").
 func redisServer(t sys.Sys, port uint16, ready chan<- struct{}, useEpoll bool) error {
 	lfd, err := t.Socket(sys.TCP)
 	if err != nil {

@@ -748,10 +748,6 @@ func (rt *Runtime) Pumps() []*fm.XskPump { return rt.pumps }
 // HostProc exposes the host-side process used for setup and the MM.
 func (rt *Runtime) HostProc() *hostos.Proc { return rt.hostProc }
 
-// Tuning exposes the shared knob cell the data path reads (never nil
-// after Boot).
-func (rt *Runtime) Tuning() *tuner.State { return rt.tuning }
-
 // TunerStats returns the control loop's accounting; the zero Stats when
 // the runtime is not adaptive. The chaos harness asserts
 // EnvelopeViolations == 0 and MinSwitchGap >= Guard on it.
@@ -760,28 +756,6 @@ func (rt *Runtime) TunerStats() tuner.Stats {
 		return tuner.Stats{}
 	}
 	return rt.tun.Stats()
-}
-
-// TunerDecision returns the operating point currently in effect (the
-// static pin when not adaptive).
-func (rt *Runtime) TunerDecision() tuner.Decision {
-	if rt.tun == nil {
-		d := tuner.Decision{Batch: rt.tuning.Batch(), Ring: rt.cfg.RingSize}
-		if rt.tuning.BusyPoll() {
-			d.Mode = tuner.ModeBusyPoll
-		}
-		return d
-	}
-	return rt.tun.Current()
-}
-
-// TunerHistory returns the trail of applied decisions (nil when not
-// adaptive).
-func (rt *Runtime) TunerHistory() []tuner.Decision {
-	if rt.tun == nil {
-		return nil
-	}
-	return rt.tun.History()
 }
 
 // TunerRecommend returns the geometry the tuner recommends for the next

@@ -54,15 +54,6 @@ func (rt *Runtime) NewThread() (*Thread, error) {
 	}, nil
 }
 
-// MustThread is NewThread that panics on setup failure (examples).
-func (rt *Runtime) MustThread() *Thread {
-	t, err := rt.NewThread()
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Clock returns the thread's virtual clock.
 func (t *Thread) Clock() *vtime.Clock { return t.lt.Clock() }
 
@@ -74,9 +65,6 @@ func (t *Thread) Clone() sys.Sys {
 	}
 	return nt
 }
-
-// Proxy exposes the thread's SyncProxy (for the verification binary).
-func (t *Thread) Proxy() *sm.SyncProxy { return t.proxy }
 
 // hook charges the API submodule's syscall interception cost.
 func (t *Thread) hook() *vtime.Clock {

@@ -54,6 +54,11 @@
 #                        batched-vs-scalar, zero-copy, adaptive, shards,
 #                        and tcp rows in the stable rakis-bench/v1 layout
 #                        (BENCH_figs.json)
+#  12. layer pins      — bench -layers: the single-layer drivers of the
+#                        hot TX and RX paths (netstack.udp_sendto,
+#                        xsk.send_batch, xsk.recv_views) must read 0
+#                        allocs_per_op (see DESIGN.md, "One path per
+#                        direction")
 set -eu
 cd "$(dirname "$0")"
 
@@ -120,5 +125,15 @@ grep -q '"figure": "zerocopy"' BENCH_figs.json
 grep -q '"figure": "adaptive"' BENCH_figs.json
 grep -q '"figure": "shards"' BENCH_figs.json
 grep -q '"figure": "tcp"' BENCH_figs.json
+
+echo "==> bench -layers: zero-allocation pins on the TX and RX paths"
+layers=$(go run ./bench -layers 2>&1)
+for m in netstack.udp_sendto xsk.send_batch xsk.recv_views; do
+	got=$(printf '%s\n' "$layers" | awk -v m="$m.allocs_per_op" '$1 == m { print $2 }')
+	if [ "$got" != "0" ]; then
+		echo "ci: $m.allocs_per_op = '$got', want 0" >&2
+		exit 1
+	fi
+done
 
 echo "ci: all checks passed"

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
+	"rakis"
 	"rakis/internal/telemetry"
 	"rakis/internal/workloads"
 )
@@ -80,8 +82,23 @@ func shardWorldOptions(shards int, sink *telemetry.Sink) Options {
 // the figure consumes the same numbers operators see. A mismatch means
 // the telemetry wiring lies — that is a run failure, not a figure row.
 func shardRollup(w *World, sink *telemetry.Sink, cell *ShardCell) error {
-	stats := w.Rakis().ShardStats()
-	vals := sink.Reg.Values()
+	// The pumps may still be moving the run's last frames (the servers'
+	// poison datagrams): sample until the packet counters hold still
+	// across the registry read, so that a mismatch means the wiring
+	// lies, not that a frame landed between two reads.
+	still := func(a, b []rakis.ShardStat) bool {
+		for i := range a {
+			if a[i].RxPkts != b[i].RxPkts || a[i].TxPkts != b[i].TxPkts {
+				return false
+			}
+		}
+		return true
+	}
+	stats, vals := w.Rakis().ShardStats(), sink.Reg.Values()
+	for try := 0; try < 100 && !still(stats, w.Rakis().ShardStats()); try++ {
+		time.Sleep(time.Millisecond)
+		stats, vals = w.Rakis().ShardStats(), sink.Reg.Values()
+	}
 	for _, s := range stats {
 		rx, ok := vals[fmt.Sprintf("fm.xsk%d.rx_pkts", s.Shard)]
 		if !ok || rx != s.RxPkts {

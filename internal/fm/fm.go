@@ -141,8 +141,12 @@ func (p *XskPump) SetShard(i int) { p.shard = i }
 // Moved returns the number of frames the pump has fed into the stack.
 func (p *XskPump) Moved() uint64 { return p.moved.Load() }
 
-// Start launches the pump thread.
+// Start stocks the fill ring and launches the pump thread. The first
+// refill runs here, on the caller, so that once Start returns the kernel
+// has RX frames: a peer's opening burst cannot race the pump goroutine's
+// first scheduling and be dropped for want of a fill entry.
 func (p *XskPump) Start() {
+	p.sock.Refill(&p.clk)
 	go p.run()
 }
 
@@ -153,7 +157,6 @@ const pumpBatchMax = 32
 
 func (p *XskPump) run() {
 	defer close(p.done)
-	p.sock.Refill(&p.clk)
 	idle := 0
 	var stallSince, nudgeAt, kickAt time.Time
 	nudgeBackoff := txNudgeAfter

@@ -167,6 +167,7 @@ func (u *uringKernel) worker() {
 		// Bound the drain at one ring's worth per pass: the submission
 		// ring is uncertified on this side, so a hostile producer value
 		// must not turn into a multi-billion-iteration loop.
+		var frozen [iouring.SQEBytes]byte
 		for drained := uint32(0); drained < u.sub.Size(); drained++ {
 			avail, _ := u.sub.Available()
 			if avail == 0 {
@@ -176,7 +177,7 @@ func (u *uringKernel) worker() {
 			// uncertified on this side, and an enclave (or scribbler)
 			// rewriting the live slot between decode and execution must
 			// not split the request into two disagreeing halves.
-			snap, err := u.sub.SnapSlot(0)
+			snap, err := u.sub.SnapSlotTo(frozen[:], 0)
 			if err != nil {
 				u.sub.Release(1)
 				continue

@@ -226,6 +226,7 @@ func (x *xskKernel) processTX(clk *vtime.Clock) int {
 	x.compl.Republish()
 	m := x.ns.kern.Model
 	n := 0
+	var frozen [xsk.DescBytes]byte
 	for drained := uint32(0); drained < x.tx.Size(); drained++ {
 		avail, _ := x.tx.Available()
 		if avail == 0 {
@@ -235,7 +236,7 @@ func (x *xskKernel) processTX(clk *vtime.Clock) int {
 		// Freeze the descriptor before the bounds check: umemOK and the
 		// copy below must agree on (Addr, Len) even if the producer
 		// rewrites the live slot mid-drain.
-		snap, err := x.tx.SnapSlot(0)
+		snap, err := x.tx.SnapSlotTo(frozen[:], 0)
 		if err != nil {
 			x.tx.Release(1)
 			continue
@@ -250,10 +251,10 @@ func (x *xskKernel) processTX(clk *vtime.Clock) int {
 			x.tx.Release(1)
 			continue
 		}
+		// Transmit makes the kernel's one copy of the frame (charged
+		// here) before steering or the wire look at a byte of it.
 		clk.Advance(m.XskKernelPerFrame + vtime.Bytes(m.KernelCopyPerByte, int(d.Len)))
-		frame := make([]byte, d.Len)
-		copy(frame, src)
-		x.ns.Dev.Transmit(frame, clk.Now())
+		x.ns.Dev.Transmit(src, clk.Now())
 		x.tx.Release(1)
 		// Completion: hand the frame back.
 		free, _ := x.compl.Free()

@@ -510,12 +510,13 @@ func (r *Ring) Drain(clk *vtime.Clock) {
 		if avail == 0 {
 			return
 		}
+		var frozen [CQEBytes]byte
 		for i := uint32(0); i < avail; i++ {
 			// Single fetch: the CQE is frozen into trusted storage before
 			// the outstanding-request match and the plausibility check, so
 			// a host rewriting the live slot mid-validation cannot swap a
 			// certified result for a hostile one.
-			snap, err := r.Compl.SnapSlot(i)
+			snap, err := r.Compl.SnapSlotTo(frozen[:], i)
 			if err != nil {
 				continue
 			}

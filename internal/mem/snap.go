@@ -1,9 +1,10 @@
 package mem
 
 // Snap is a frozen copy of untrusted shared memory: the bytes were
-// fetched exactly once into freshly allocated trusted storage (an
-// ordinary Go heap slice, the enclave-memory analogue in this
-// simulation) and can never change underneath the enclave afterwards.
+// fetched exactly once into trusted storage (an ordinary Go slice the
+// fetch allocated or the caller lent it — the enclave-memory analogue in
+// this simulation) and can never change underneath the enclave
+// afterwards.
 //
 // The type exists to make the single-read discipline checkable: the
 // doublefetch analyzer treats a //rakis:snapshot call as the one
@@ -55,11 +56,26 @@ func (s Snap) U64(off int) uint64 {
 //rakis:untrusted
 //rakis:snapshot
 func (sp *Space) Snapshot(role Role, a Addr, n uint64) (Snap, error) {
+	return sp.SnapshotTo(nil, role, a, n)
+}
+
+// SnapshotTo is Snapshot into caller-owned trusted storage, so a hot
+// path can freeze a descriptor into a stack array and allocate nothing:
+// buf must hold n bytes (nil allocates them, once the access has been
+// validated), and the Snap is valid for as long as the caller leaves
+// buf alone.
+//
+//rakis:untrusted
+//rakis:snapshot
+func (sp *Space) SnapshotTo(buf []byte, role Role, a Addr, n uint64) (Snap, error) {
 	src, err := sp.Bytes(role, a, n)
 	if err != nil {
 		return nil, err
 	}
-	out := make(Snap, n)
+	if buf == nil {
+		buf = make([]byte, n)
+	}
+	out := Snap(buf[:n])
 	copy(out, src)
 	return out, nil
 }

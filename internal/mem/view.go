@@ -77,13 +77,26 @@ func (v *View) Live() bool { return v.cell == nil || v.cell.Load() == v.gen }
 //rakis:untrusted
 //rakis:snapshot
 func (v *View) Snap(off, n int) (Snap, error) {
+	return v.SnapTo(nil, off, n)
+}
+
+// SnapTo is Snap into caller-owned trusted storage: buf must hold n
+// bytes (nil allocates them, once the bounds have been checked), and
+// the Snap is valid for as long as the caller leaves buf alone.
+//
+//rakis:untrusted
+//rakis:snapshot
+func (v *View) SnapTo(buf []byte, off, n int) (Snap, error) {
 	if !v.Live() {
 		return nil, fmt.Errorf("%w: frame %d gen %d", ErrStaleView, v.idx, v.gen)
 	}
 	if off < 0 || n < 0 || off+n > len(v.b) {
 		return nil, fmt.Errorf("mem: snap [%d:%d) outside view of %d bytes", off, off+n, len(v.b))
 	}
-	s := make(Snap, n)
+	if buf == nil {
+		buf = make([]byte, n)
+	}
+	s := Snap(buf[:n])
 	copy(s, v.b[off:off+n])
 	return s, nil
 }

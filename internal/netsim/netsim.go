@@ -231,7 +231,9 @@ func (d *Device) Close() {
 // Transmit serializes a frame onto the wire at the given virtual start
 // time and delivers it to the peer's RSS-selected queue. It returns the
 // virtual time at which the frame finishes arriving. A full peer queue
-// drops the frame, as NIC hardware does.
+// drops the frame, as NIC hardware does. data is copied once, before
+// steering or fault injection read a byte of it, and never retained: a
+// caller may pass memory it reuses or shares with a hostile writer.
 func (d *Device) Transmit(data []byte, start uint64) (end uint64, err error) {
 	if len(data) > d.mtu+EthHeaderBytes {
 		return 0, ErrTooLong

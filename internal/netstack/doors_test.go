@@ -160,12 +160,19 @@ func (p *doorPair) agree(t testing.TB, data []byte) error {
 	return nil
 }
 
-// corpusFrames is every committed hostile frame, in a fixed order.
-func corpusFrames() (names []string, frames map[string][]byte) {
+// corpusFrames is every committed hostile frame plus every frame the
+// stack's own TX encoder emits (emitFrames: what a peer running this
+// stack would send), in a fixed order.
+func corpusFrames(t testing.TB) (names []string, frames map[string][]byte) {
 	frames = map[string][]byte{}
 	for _, table := range []map[string][]byte{hostileFrames(), viewHostileFrames(), tcpHostileFrames()} {
 		for name, data := range table {
 			frames[name] = data
+		}
+	}
+	for _, e := range emitFrames(t) {
+		for i, f := range e.got {
+			frames[fmt.Sprintf("emitted-%s-%02d", e.name, i)] = f
 		}
 	}
 	for name := range frames {
@@ -179,7 +186,7 @@ func corpusFrames() (names []string, frames map[string][]byte) {
 // of identically configured stacks — the enclave TCP configuration, one
 // bound UDP socket, one listener — once per address the corpora target.
 func TestFrontDoorsAgree(t *testing.T) {
-	names, frames := corpusFrames()
+	names, frames := corpusFrames(t)
 	for _, ip := range []IP4{{10, 0, 0, 9}, harnessIP} {
 		h := newViewHarness(t)
 		cfg := Config{Name: "enclave-tcp", Dev: h.link, IP: ip, Counters: h.ctrs, EnableTCP: true, TCPCookies: true}
@@ -213,7 +220,7 @@ func TestFrontDoorsAgree(t *testing.T) {
 // the whole frame decodes (ParseEth, ParseIPv4, then the L4 decoder), is
 // unfragmented UDP or TCP, and its headers fit inside the prefix.
 func TestDecodersAgreeAtEveryPrefix(t *testing.T) {
-	names, frames := corpusFrames()
+	names, frames := corpusFrames(t)
 	accepted := 0
 	for _, name := range names {
 		frame := frames[name]

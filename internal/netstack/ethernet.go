@@ -30,13 +30,18 @@ func ParseEth(frame []byte) (EthHeader, []byte, error) {
 	return h, frame[EthHeaderBytes:], nil
 }
 
+// putEthHeader encodes h into b[:EthHeaderBytes].
+func putEthHeader(b []byte, h EthHeader) {
+	copy(b[0:6], h.Dst[:])
+	copy(b[6:12], h.Src[:])
+	put16(b[12:14], h.Type)
+}
+
 // MarshalEth encodes an Ethernet header followed by payload into a fresh
 // frame buffer.
 func MarshalEth(h EthHeader, payload []byte) []byte {
 	frame := make([]byte, EthHeaderBytes+len(payload))
-	copy(frame[0:6], h.Dst[:])
-	copy(frame[6:12], h.Src[:])
-	put16(frame[12:14], h.Type)
+	putEthHeader(frame, h)
 	copy(frame[EthHeaderBytes:], payload)
 	return frame
 }

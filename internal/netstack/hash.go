@@ -59,16 +59,16 @@ func TXShard(src, dst IP4, sport, dport uint16, n int) int {
 }
 
 // FrameFlow extracts FlowHash's inputs, in wire order, from an Ethernet
-// frame: the one parser behind both steering decisions (the RSS program
-// passes the tuple to RXShard, the link's TX lane choice to TXShard), so
-// the two cannot drift. An unfragmented UDP or TCP packet yields its
-// address and port pairs. Any other IPv4 packet — a fragment, whose
-// later pieces carry payload where the first carries ports, a protocol
-// without ports, an L4 header cut short — yields the address pair with
-// zero ports, in both directions, so every fragment of one datagram
-// takes the same lane. ok is false when there is no IPv4 header to key
-// on (short frame, ARP, bad version or IHL); callers send those to
-// shard 0.
+// frame: the parser behind the RSS program's steering decision (it
+// passes the tuple to RXShard; the stack's TX lane choice passes the
+// tuple it already holds to TXShard and parses nothing). An
+// unfragmented UDP or TCP packet yields its address and port pairs. Any
+// other IPv4 packet — a fragment, whose later pieces carry payload where
+// the first carries ports, a protocol without ports, an L4 header cut
+// short — yields the address pair with zero ports, as the stack's
+// fragment and ICMP lanes do, so every fragment of one datagram takes
+// the same queue. ok is false when there is no IPv4 header to key on
+// (short frame, ARP, bad version or IHL); callers send those to shard 0.
 func FrameFlow(frame []byte) (src, dst IP4, sport, dport uint16, ok bool) {
 	if len(frame) < EthHeaderBytes+IPv4HeaderBytes || be16(frame[12:14]) != EtherTypeIPv4 {
 		return

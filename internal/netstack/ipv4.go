@@ -81,14 +81,15 @@ func ParseIPv4(pkt []byte) (IPv4Header, []byte, error) {
 	return h, pkt[h.HdrLen:h.TotalLen], nil
 }
 
-// MarshalIPv4 encodes an IPv4 packet (20-byte header, no options) around
-// the payload.
-func MarshalIPv4(h IPv4Header, payload []byte) []byte {
-	pkt := make([]byte, IPv4HeaderBytes+len(payload))
-	pkt[0] = 0x45
-	total := IPv4HeaderBytes + len(payload)
-	put16(pkt[2:4], uint16(total))
-	put16(pkt[4:6], h.ID)
+// putIPv4Header encodes h (20 bytes, no options) into b for a packet
+// carrying payloadLen bytes, checksum included. The checksum is summed
+// over b itself, so the stack's send path encodes into trusted scratch,
+// never into a lent frame.
+func putIPv4Header(b []byte, h IPv4Header, payloadLen int) {
+	b = b[:IPv4HeaderBytes]
+	b[0], b[1] = 0x45, 0
+	put16(b[2:4], uint16(IPv4HeaderBytes+payloadLen))
+	put16(b[4:6], h.ID)
 	var fl uint16
 	if h.DF {
 		fl |= 0x4000
@@ -97,16 +98,23 @@ func MarshalIPv4(h IPv4Header, payload []byte) []byte {
 		fl |= 0x2000
 	}
 	fl |= (h.FragOff / 8) & 0x1FFF
-	put16(pkt[6:8], fl)
-	ttl := h.TTL
-	if ttl == 0 {
-		ttl = 64
+	put16(b[6:8], fl)
+	b[8] = h.TTL
+	if h.TTL == 0 {
+		b[8] = 64
 	}
-	pkt[8] = ttl
-	pkt[9] = h.Proto
-	copy(pkt[12:16], h.Src[:])
-	copy(pkt[16:20], h.Dst[:])
-	put16(pkt[10:12], Checksum(pkt[:IPv4HeaderBytes]))
+	b[9] = h.Proto
+	put16(b[10:12], 0)
+	copy(b[12:16], h.Src[:])
+	copy(b[16:20], h.Dst[:])
+	put16(b[10:12], Checksum(b))
+}
+
+// MarshalIPv4 encodes an IPv4 packet (20-byte header, no options) around
+// the payload.
+func MarshalIPv4(h IPv4Header, payload []byte) []byte {
+	pkt := make([]byte, IPv4HeaderBytes+len(payload))
+	putIPv4Header(pkt, h, len(payload))
 	copy(pkt[IPv4HeaderBytes:], payload)
 	return pkt
 }
@@ -212,7 +220,8 @@ func (r *reassembler) evictOldest() {
 	delete(r.bufs, oldKey)
 }
 
-// fragmentIPv4 splits an L4 payload into IPv4 packets that fit the MTU.
+// fragmentIPv4 splits an L4 payload into IPv4 packets that fit the MTU:
+// the cold fallback for a message over one frame (Stack.sendFragments).
 func fragmentIPv4(h IPv4Header, payload []byte, mtu int) [][]byte {
 	maxData := (mtu - IPv4HeaderBytes) &^ 7
 	if len(payload)+IPv4HeaderBytes <= mtu || maxData <= 0 {

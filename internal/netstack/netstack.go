@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 
+	"rakis/internal/mem"
 	"rakis/internal/vtime"
 )
 
@@ -46,31 +47,64 @@ type Addr struct {
 // String renders the endpoint as ip:port.
 func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.IP, a.Port) }
 
-// LinkDevice is the layer-2 output the stack transmits frames on. The
-// kernel stack binds a netsim device; the enclave stack binds the XSK
-// FastPath Module's transmit path.
-type LinkDevice interface {
-	// SendFrame transmits one Ethernet frame, charging transmit work to
-	// the caller's clock, and returns the virtual time the frame
-	// finished serializing.
-	SendFrame(data []byte, clk *vtime.Clock) (uint64, error)
-	// MAC returns the interface hardware address.
+// Link is what every layer-2 output has: a hardware address and an MTU
+// (IP payload capacity).
+type Link interface {
 	MAC() [6]byte
-	// MTU returns the link MTU (IP payload capacity).
 	MTU() int
 }
 
-// BatchLinkDevice is a LinkDevice that can also transmit a run of frames
-// in one call, letting the device amortize its per-call costs (ring lock,
-// certification pass, wakeup) across the run. The stack's batched send
-// path uses it when present and falls back to per-frame SendFrame
-// otherwise.
-type BatchLinkDevice interface {
-	LinkDevice
-	// SendFrames transmits the frames in order and returns how many
-	// leading frames the device accepted. The error is the one that
-	// stopped the run and is nil when every frame went out.
-	SendFrames(frames [][]byte, clk *vtime.Clock) (int, error)
+// LendingDevice is the layer-2 output the stack transmits on: it lends
+// the buffers frames leave from, so each frame is built once, in place.
+// The enclave stack binds the XSK FastPath Modules (sm.XskLink lends
+// UMem frames); New wraps a plain LinkDevice. lane is the TX queue,
+// which the stack derives from the flow tuple with TXShard.
+type LendingDevice interface {
+	Link
+	// Lend reserves a buffer of at least size bytes for each element of
+	// bufs, charging the caller's clock, and returns how many leading
+	// ones it filled (an error when none). A B whose capacity already
+	// suffices may be kept. Every lent buffer must be published.
+	Lend(lane, size int, bufs []mem.TxBuf, clk *vtime.Clock) (int, error)
+	// Publish transmits the buffers in order, each B cut by the caller
+	// to the frame built in it, and returns how many leading frames
+	// went out; the error is nil exactly when all did. Either way no
+	// buffer is the caller's any longer.
+	Publish(lane int, bufs []mem.TxBuf, clk *vtime.Clock) (int, error)
+}
+
+// LinkDevice is a plain layer-2 output that takes whole frames: the
+// kernel stack's netsim device, and most test links.
+type LinkDevice interface {
+	Link
+	// SendFrame transmits one Ethernet frame, charging transmit work to
+	// the caller's clock, and returns the virtual time the frame
+	// finished serializing. It must not retain data.
+	SendFrame(data []byte, clk *vtime.Clock) (uint64, error)
+}
+
+// frameLender adapts a LinkDevice to the one TX path: it lends heap
+// buffers — made once per slot of the stack's pooled TxBuf arrays,
+// found there again ever after — and publishes through SendFrame.
+type frameLender struct{ LinkDevice }
+
+func (d frameLender) Lend(_, size int, bufs []mem.TxBuf, _ *vtime.Clock) (int, error) {
+	for i := range bufs {
+		if cap(bufs[i].B) < size {
+			bufs[i].B = make([]byte, size)
+		}
+		bufs[i].B = bufs[i].B[:size]
+	}
+	return len(bufs), nil
+}
+
+func (d frameLender) Publish(_ int, bufs []mem.TxBuf, clk *vtime.Clock) (int, error) {
+	for i := range bufs {
+		if _, err := d.SendFrame(bufs[i].B, clk); err != nil {
+			return i, err
+		}
+	}
+	return len(bufs), nil
 }
 
 // Protocol numbers and EtherTypes used by the stack.

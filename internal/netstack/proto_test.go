@@ -254,3 +254,8 @@ func TestIPv4ParseNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// marshalTCP is MarshalTCP over a tcpSeg.
+func marshalTCP(src, dst IP4, s tcpSeg) []byte {
+	return MarshalTCP(src, dst, s.srcPort, s.dstPort, s.seq, s.ack, s.flags, s.wnd, s.payload)
+}

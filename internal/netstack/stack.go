@@ -2,9 +2,11 @@ package netstack
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"rakis/internal/mem"
 	"rakis/internal/vtime"
 )
 
@@ -12,8 +14,9 @@ import (
 type Config struct {
 	// Name identifies the stack in diagnostics ("kernel", "enclave").
 	Name string
-	// Dev is the layer-2 output.
-	Dev LinkDevice
+	// Dev is the layer-2 output: a LendingDevice, or a plain LinkDevice,
+	// which New wraps in the lending adapter.
+	Dev Link
 	// IP is the interface address.
 	IP IP4
 	// Model supplies cost constants; nil uses vtime.Default.
@@ -53,7 +56,7 @@ type Config struct {
 type Stack struct {
 	cfg   Config
 	model *vtime.Model
-	dev   LinkDevice
+	dev   LendingDevice
 	ip    IP4
 	arp   *arpTable
 	reasm *reassembler
@@ -64,12 +67,26 @@ type Stack struct {
 
 	ipID   atomic.Uint32
 	closed atomic.Bool
+
+	// txRuns recycles the *txRun arrays sends are assembled in: an
+	// array handed to the device interface cannot live on the sender's
+	// stack, and over a plain LinkDevice its slots keep the frame
+	// buffers the adapter lent.
+	txRuns sync.Pool
 }
+
+// txRun holds the buffers of one lend → build → publish pass: as many as
+// the widest vector the tuner advises.
+type txRun [32]mem.TxBuf
 
 // New creates a stack bound to cfg.Dev.
 func New(cfg Config) (*Stack, error) {
-	if cfg.Dev == nil {
-		return nil, fmt.Errorf("netstack: nil device")
+	dev, lends := cfg.Dev.(LendingDevice)
+	if plain, ok := cfg.Dev.(LinkDevice); ok && !lends {
+		dev, lends = frameLender{plain}, true
+	}
+	if !lends {
+		return nil, fmt.Errorf("netstack: device %T neither lends buffers nor sends frames", cfg.Dev)
 	}
 	if cfg.Model == nil {
 		cfg.Model = vtime.Default()
@@ -83,12 +100,13 @@ func New(cfg Config) (*Stack, error) {
 	s := &Stack{
 		cfg:   cfg,
 		model: cfg.Model,
-		dev:   cfg.Dev,
+		dev:   dev,
 		ip:    cfg.IP,
 		arp:   newARPTable(cfg.StaticARP),
 		reasm: newReassembler(),
 		udp:   newUDPTable(cfg.Shards),
 	}
+	s.txRuns.New = func() any { return new(txRun) }
 	if cfg.EnableTCP {
 		s.tcp = newTCPTable(s, cfg.Shards, cfg.TCPCookies)
 	}
@@ -158,7 +176,7 @@ func (s *Stack) inputARP(payload []byte, clk *vtime.Clock) {
 				sha: s.dev.MAC(), spa: s.ip,
 				tha: p.sha, tpa: p.spa,
 			}
-			s.sendFrame(p.sha, EtherTypeARP, marshalARP(reply), clk)
+			s.sendARP(p.sha, reply, clk)
 		}
 	case arpOpReply:
 		s.arp.learn(p.spa, p.sha)
@@ -200,10 +218,23 @@ func (s *Stack) inputIPv4(eth EthHeader, pkt []byte, clk *vtime.Clock, shard int
 	}
 }
 
-// sendFrame transmits one layer-2 frame.
-func (s *Stack) sendFrame(dst [6]byte, etherType uint16, payload []byte, clk *vtime.Clock) (uint64, error) {
-	frame := MarshalEth(EthHeader{Dst: dst, Src: s.dev.MAC(), Type: etherType}, payload)
-	return s.dev.SendFrame(frame, clk)
+// sendFrame is the cold end of the TX path: one frame already built in
+// trusted memory (an ARP message, an IPv4 fragment, a splice that fell
+// back) leaves by lend, plain copy, publish.
+func (s *Stack) sendFrame(lane int, frame []byte, clk *vtime.Clock) error {
+	run := s.txRuns.Get().(*txRun)
+	defer s.txRuns.Put(run)
+	if _, err := s.dev.Lend(lane, len(frame), run[:1], clk); err != nil {
+		return err
+	}
+	run[0].B = run[0].B[:copy(run[0].B, frame)]
+	_, err := s.dev.Publish(lane, run[:1], clk)
+	return err
+}
+
+// sendARP transmits one ARP message on lane 0, where inbound ARP lands.
+func (s *Stack) sendARP(dst [6]byte, p arpPacket, clk *vtime.Clock) error {
+	return s.sendFrame(0, MarshalEth(EthHeader{Dst: dst, Src: s.dev.MAC(), Type: EtherTypeARP}, marshalARP(p)), clk)
 }
 
 // resolve finds the MAC for dst, emitting ARP requests as needed.
@@ -213,7 +244,7 @@ func (s *Stack) resolve(dst IP4, clk *vtime.Clock) ([6]byte, error) {
 	}
 	req := arpPacket{op: arpOpRequest, sha: s.dev.MAC(), spa: s.ip, tpa: dst}
 	for attempt := 0; attempt < 3; attempt++ {
-		if _, err := s.sendFrame(Broadcast, EtherTypeARP, marshalARP(req), clk); err != nil {
+		if err := s.sendARP(Broadcast, req, clk); err != nil {
 			return [6]byte{}, err
 		}
 		if mac, ok := s.arp.waitFor(dst, time.Now().Add(200*time.Millisecond)); ok {
@@ -223,14 +254,11 @@ func (s *Stack) resolve(dst IP4, clk *vtime.Clock) ([6]byte, error) {
 	return [6]byte{}, fmt.Errorf("%w: %v", ErrNoRoute, dst)
 }
 
-// sendIP resolves dst's MAC (emitting ARP requests as needed) and
-// transmits through sendIPTo.
-func (s *Stack) sendIP(proto byte, dst IP4, payload []byte, clk *vtime.Clock) (uint64, error) {
-	mac, err := s.resolve(dst, clk)
-	if err != nil {
-		return clk.Now(), err
-	}
-	return s.sendIPTo(mac, proto, dst, payload, clk)
+// sendIP transmits one portless L4 message (ICMP) on its address pair's
+// lane, resolving dst's MAC.
+func (s *Stack) sendIP(proto byte, dst IP4, payload []byte, clk *vtime.Clock) error {
+	_, err := s.sendRun(nil, TXShard(s.ip, dst, 0, 0, s.Shards()), proto, dst, nil, [][]byte{payload}, clk)
+	return err
 }
 
 // nextHeader is the IPv4 header of the stack's next outgoing packet.
@@ -238,78 +266,114 @@ func (s *Stack) nextHeader(proto byte, dst IP4) IPv4Header {
 	return IPv4Header{ID: uint16(s.ipID.Add(1)), TTL: 64, Proto: proto, Src: s.ip, Dst: dst}
 }
 
-// sendIPTo encapsulates an L4 payload and transmits it to a layer-2
-// destination already in hand, fragmenting to the MTU when necessary;
-// it returns the virtual time of the last fragment's serialization. No
-// ARP lookup, no resolution stall, no neighbour-cache insertion: the
-// enclave TCP path calls it directly for every reply whose MAC came off
-// the triggering frame (SYN-cookie SYN|ACKs, RSTs to spoofed sources)
-// and for established flows with a cached peer MAC, so hostile traffic
-// can neither block an FM pump on resolution nor grow shared ARP state.
-func (s *Stack) sendIPTo(mac [6]byte, proto byte, dst IP4, payload []byte, clk *vtime.Clock) (uint64, error) {
-	h := s.nextHeader(proto, dst)
-	end := clk.Now()
-	var err error
-	for _, pkt := range fragmentIPv4(h, payload, s.dev.MTU()) {
-		end, err = s.sendFrame(mac, EtherTypeIPv4, pkt, clk)
+// sendRun is the stack's one TX path — lend → build → publish — for one
+// flow's run of L4 messages: l4h, the flow's UDP or TCP header (nil for
+// ICMP, which carries its own), goes in front of each payload, on the
+// lane the caller derived from the flow tuple. Per pass the device lends
+// up to a txRun of buffers, each message is built once, in the buffer it
+// leaves from (buildFrame), and one Publish sends the pass; a message
+// over the MTU takes the fragmenting fallback in its turn. A nil mac is
+// resolved through ARP. With a MAC in hand nothing here looks up,
+// stalls on or grows the neighbour cache: the enclave TCP path passes
+// the MAC off the triggering frame (SYN-cookie SYN|ACKs, RSTs to spoofed
+// sources) or the flow's cached one, so hostile traffic cannot block an
+// FM pump. Semantics follow sendmmsg: it returns how many leading
+// messages went out whole, counts only those, and reports an error only
+// when the first failed.
+func (s *Stack) sendRun(mac *[6]byte, lane int, proto byte, dst IP4, l4h []byte, payloads [][]byte, clk *vtime.Clock) (int, error) {
+	if mac == nil {
+		resolved, err := s.resolve(dst, clk)
 		if err != nil {
-			return end, err
+			return 0, err
 		}
+		mac = &resolved
 	}
-	if s.cfg.Counters != nil {
-		s.cfg.Counters.PacketsTx.Add(1)
-	}
-	return end, nil
-}
-
-// sendIPBatch encapsulates several same-destination L4 payloads and
-// transmits them as one run. When the link device supports batched
-// output the MAC is resolved once, every fragment of every payload is
-// framed up front, and the whole run is handed to the device in a single
-// call; otherwise it degrades to per-payload sendIP. It returns the
-// number of payloads all of whose fragments went out, counts only those,
-// and reports an error only when the first payload failed.
-func (s *Stack) sendIPBatch(proto byte, dst IP4, payloads [][]byte, clk *vtime.Clock) (int, error) {
-	var bdev BatchLinkDevice
-	if len(payloads) > 1 { // a run of one gains nothing from the batched device
-		bdev, _ = s.dev.(BatchLinkDevice)
-	}
-	if bdev == nil {
-		for i, p := range payloads {
-			if _, err := s.sendIP(proto, dst, p, clk); err != nil {
-				if i == 0 {
-					return 0, err
-				}
-				return i, nil
-			}
-		}
-		return len(payloads), nil
-	}
-	mac, err := s.resolve(dst, clk)
-	if err != nil {
-		return 0, err
-	}
-	src := s.dev.MAC()
-	frames := make([][]byte, 0, len(payloads))
-	for _, payload := range payloads {
-		for _, pkt := range fragmentIPv4(s.nextHeader(proto, dst), payload, s.dev.MTU()) {
-			frames = append(frames, MarshalEth(EthHeader{Dst: mac, Src: src, Type: EtherTypeIPv4}, pkt))
-		}
-	}
-	accepted, err := bdev.SendFrames(frames, clk)
-	// A payload is out once its last fragment — the one frame of it with
-	// MF clear — is inside the accepted prefix.
+	eth := EthHeader{Dst: *mac, Src: s.dev.MAC(), Type: EtherTypeIPv4}
+	mtu := s.dev.MTU()
+	run := s.txRuns.Get().(*txRun)
+	defer s.txRuns.Put(run)
 	sent := 0
-	for _, f := range frames[:accepted] {
-		if f[EthHeaderBytes+6]&0x20 == 0 {
-			sent++
+	var err error
+	for sent < len(payloads) && err == nil {
+		k := 0
+		for k < len(run) && sent+k < len(payloads) && IPv4HeaderBytes+len(l4h)+len(payloads[sent+k]) <= mtu {
+			k++
 		}
+		if k == 0 {
+			if err = s.sendFragments(eth, proto, dst, l4h, payloads[sent], clk); err == nil {
+				sent++
+			}
+			continue
+		}
+		if k, err = s.dev.Lend(lane, EthHeaderBytes+mtu, run[:k], clk); err != nil {
+			break
+		}
+		for i := range run[:k] {
+			run[i].B = s.buildFrame(run[i].B, eth, proto, dst, l4h, payloads[sent+i])
+		}
+		k, err = s.dev.Publish(lane, run[:k], clk)
+		sent += k
 	}
 	if s.cfg.Counters != nil {
 		s.cfg.Counters.PacketsTx.Add(uint64(sent))
 	}
-	if sent == 0 {
-		return 0, err
+	if sent > 0 {
+		err = nil
 	}
-	return sent, nil
+	return sent, err
+}
+
+// buildFrame builds one frame in b, a lent buffer, and returns b cut to
+// the frame. The headers are assembled and checksummed in trusted
+// scratch — the L4 checksum over the caller's header and payload bytes —
+// and then each byte of the frame is written once: the headers, and the
+// payload in the only copy it ever gets. Nothing is read back from b,
+// which may be memory the host can write.
+func (s *Stack) buildFrame(b []byte, eth EthHeader, proto byte, dst IP4, l4h, payload []byte) []byte {
+	const l4At = EthHeaderBytes + IPv4HeaderBytes
+	var hdr [l4At + TCPHeaderBytes]byte
+	n := l4At + copy(hdr[l4At:], l4h)
+	putEthHeader(hdr[:], eth)
+	putIPv4Header(hdr[EthHeaderBytes:], s.nextHeader(proto, dst), n-l4At+len(payload))
+	sealL4(hdr[l4At:n], proto, s.ip, dst, payload)
+	copy(b, hdr[:n])
+	return b[:n+copy(b[n:], payload)]
+}
+
+// sealL4 fills in the per-message fields of the UDP or TCP header h,
+// held in trusted memory with a zero checksum field: the UDP length, and
+// the checksum over pseudo-header, h and payload. An empty h (ICMP
+// carries its own checksum) is left alone.
+func sealL4(h []byte, proto byte, src, dst IP4, payload []byte) {
+	if len(h) == 0 {
+		return
+	}
+	ck := h[16:18] // TCP
+	if proto == ProtoUDP {
+		put16(h[4:6], uint16(len(h)+len(payload)))
+		ck = h[6:8]
+	}
+	sum := pseudoHeaderSum(src, dst, proto, len(h)+len(payload))
+	c := checksumFold(checksumPartial(checksumPartial(sum, h), payload))
+	if c == 0 && proto == ProtoUDP {
+		c = 0xFFFF // zero means "no checksum" on the wire
+	}
+	put16(ck, c)
+}
+
+// sendFragments is the cold fallback for a message over the MTU: the L4
+// message is assembled in trusted memory and cut into IPv4 fragments,
+// which leave through sendFrame on the address pair's lane — where RSS,
+// blind to ports past the first fragment, steers a fragmented datagram
+// coming the other way.
+func (s *Stack) sendFragments(eth EthHeader, proto byte, dst IP4, l4h, payload []byte, clk *vtime.Clock) error {
+	l4 := append(append(make([]byte, 0, len(l4h)+len(payload)), l4h...), payload...)
+	sealL4(l4[:len(l4h)], proto, s.ip, dst, payload)
+	lane := TXShard(s.ip, dst, 0, 0, s.Shards())
+	for _, pkt := range fragmentIPv4(s.nextHeader(proto, dst), l4, s.dev.MTU()) {
+		if err := s.sendFrame(lane, MarshalEth(eth, pkt), clk); err != nil {
+			return err
+		}
+	}
+	return nil
 }

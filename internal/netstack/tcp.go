@@ -123,8 +123,10 @@ func parseTCP(b []byte) (tcpSeg, bool) {
 	return s, ok
 }
 
-func marshalTCP(src, dst IP4, s tcpSeg) []byte {
-	b := make([]byte, TCPHeaderBytes+len(s.payload))
+// putTCPHeader encodes s's header (no options, zero checksum) into
+// b[:TCPHeaderBytes].
+func putTCPHeader(b []byte, s tcpSeg) {
+	b = b[:TCPHeaderBytes]
 	put16(b[0:2], s.srcPort)
 	put16(b[2:4], s.dstPort)
 	put32(b[4:8], s.seq)
@@ -132,10 +134,7 @@ func marshalTCP(src, dst IP4, s tcpSeg) []byte {
 	b[12] = (TCPHeaderBytes / 4) << 4
 	b[13] = s.flags
 	put16(b[14:16], s.wnd)
-	copy(b[TCPHeaderBytes:], s.payload)
-	sum := pseudoHeaderSum(src, dst, ProtoTCP, len(b))
-	put16(b[16:18], checksumFold(checksumPartial(sum, b)))
-	return b
+	put32(b[16:20], 0) // checksum (sealL4 fills it), urgent pointer
 }
 
 // TCP flag bits, exported for frame-building tools outside the package
@@ -149,12 +148,14 @@ const (
 	TCPFlagACK = flagACK
 )
 
-// MarshalTCP assembles a checksummed TCP segment (no options).
+// MarshalTCP assembles a checksummed TCP segment (no options) in a fresh
+// buffer.
 func MarshalTCP(src, dst IP4, srcPort, dstPort uint16, seq, ack uint32, flags byte, wnd uint16, payload []byte) []byte {
-	return marshalTCP(src, dst, tcpSeg{
-		srcPort: srcPort, dstPort: dstPort,
-		seq: seq, ack: ack, flags: flags, wnd: wnd, payload: payload,
-	})
+	b := make([]byte, TCPHeaderBytes+len(payload))
+	putTCPHeader(b, tcpSeg{srcPort: srcPort, dstPort: dstPort, seq: seq, ack: ack, flags: flags, wnd: wnd})
+	copy(b[TCPHeaderBytes:], payload)
+	sealL4(b[:TCPHeaderBytes], ProtoTCP, src, dst, payload)
+	return b
 }
 
 // connKey identifies a connection from the stack's point of view.
@@ -879,12 +880,11 @@ func (c *TCPSocket) sendSegLocked(seg tcpSeg, clk *vtime.Clock) {
 	clk.Advance(c.stack.model.KernelTCPPerSegment +
 		vtime.Bytes(c.stack.model.KernelCopyPerByte, len(seg.payload)))
 	c.lastVTime.Store(clk.Now())
-	payload := marshalTCP(c.stack.ip, c.remote.IP, seg)
+	var mac *[6]byte
 	if c.hasMAC {
-		c.stack.sendIPTo(c.peerMAC, ProtoTCP, c.remote.IP, payload, clk)
-		return
+		mac = &c.peerMAC
 	}
-	c.stack.sendIP(ProtoTCP, c.remote.IP, payload, clk)
+	c.table.sendSegTo(c.remote.IP, mac, seg, clk)
 }
 
 func (c *TCPSocket) sendAckLocked(clk *vtime.Clock) {
@@ -1045,17 +1045,18 @@ func (t *tcpTable) sendRST(dst IP4, ethSrc *[6]byte, in tcpSeg, clk *vtime.Clock
 	t.sendSegTo(dst, ethSrc, out, clk)
 }
 
-// sendSegTo transmits one connectionless segment (SYN|ACK cookie reply,
-// RST). With a frame source MAC in hand the reply goes straight back to
-// the sender's port — never through ARP, so a spoofed source can neither
-// stall a pump on resolution nor grow the neighbour cache.
-func (t *tcpTable) sendSegTo(dst IP4, ethSrc *[6]byte, seg tcpSeg, clk *vtime.Clock) {
-	pkt := marshalTCP(t.stack.ip, dst, seg)
-	if ethSrc != nil {
-		t.stack.sendIPTo(*ethSrc, ProtoTCP, dst, pkt, clk)
-		return
-	}
-	t.stack.sendIP(ProtoTCP, dst, pkt, clk)
+// sendSegTo transmits one segment — a connection's, or a connectionless
+// SYN|ACK cookie reply or RST — as a run of one on its flow's lane: the
+// header is built in trusted scratch and the payload's only copy is the
+// one into the frame. With a MAC in hand (the flow's cached one, or the
+// triggering frame's source) the reply goes straight to it — never
+// through ARP, so a spoofed source can neither stall a pump on
+// resolution nor grow the neighbour cache.
+func (t *tcpTable) sendSegTo(dst IP4, mac *[6]byte, seg tcpSeg, clk *vtime.Clock) {
+	var h [TCPHeaderBytes]byte
+	putTCPHeader(h[:], seg)
+	lane := TXShard(t.stack.ip, dst, seg.srcPort, seg.dstPort, len(t.demux))
+	t.stack.sendRun(mac, lane, ProtoTCP, dst, h[:], [][]byte{seg.payload}, clk)
 }
 
 // handleSYN answers a listener SYN: statelessly with a SYN-cookie

@@ -385,24 +385,6 @@ func (u *UDPSocket) RemoteAddr() (Addr, bool) {
 	return *u.connected, true
 }
 
-// buildDatagram encapsulates one payload into a checksummed UDP datagram
-// headed for dst.
-func (u *UDPSocket) buildDatagram(payload []byte, dst Addr) []byte {
-	s := u.stack
-	dgram := make([]byte, UDPHeaderBytes+len(payload))
-	put16(dgram[0:2], u.local.Port)
-	put16(dgram[2:4], dst.Port)
-	put16(dgram[4:6], uint16(len(dgram)))
-	copy(dgram[UDPHeaderBytes:], payload)
-	sum := pseudoHeaderSum(s.ip, dst.IP, ProtoUDP, len(dgram))
-	ck := checksumFold(checksumPartial(sum, dgram))
-	if ck == 0 {
-		ck = 0xFFFF
-	}
-	put16(dgram[6:8], ck)
-	return dgram
-}
-
 // SendTo transmits one datagram to dst: SendToN at width one, on a stack
 // array.
 func (u *UDPSocket) SendTo(payload []byte, dst Addr, clk *vtime.Clock) error {
@@ -411,12 +393,8 @@ func (u *UDPSocket) SendTo(payload []byte, dst Addr, clk *vtime.Clock) error {
 	return err
 }
 
-// sendRunStack is how many datagrams SendToN assembles without touching
-// the heap: the widest vector the tuner advises.
-const sendRunStack = 32
-
 // SendToN transmits up to len(payloads) datagrams to dst as one run
-// through the stack's batched IP path, charging the caller's clock for
+// through the stack's transmit path, charging the caller's clock for
 // each datagram's stack and socket work — only the link-layer call count
 // is amortized. Semantics follow sendmmsg: it returns the number of
 // datagrams sent, reporting an error only when the first fails.
@@ -441,17 +419,12 @@ func (u *UDPSocket) SendToN(payloads [][]byte, dst Addr, clk *vtime.Clock) (int,
 		return 0, ErrClosed
 	}
 	s := u.stack
-	var local [sendRunStack][]byte
-	dgrams := local[:0]
-	if n > sendRunStack {
-		dgrams = make([][]byte, 0, n)
-	}
-	for _, p := range payloads[:n] {
-		clk.Charge(vtime.CompStack, s.cfg.PerPacketCost)
-		clk.Charge(vtime.CompStack, s.model.SocketOp)
-		dgrams = append(dgrams, u.buildDatagram(p, dst))
-	}
-	return s.sendIPBatch(ProtoUDP, dst.IP, dgrams, clk)
+	clk.Charge(vtime.CompStack, uint64(n)*(s.cfg.PerPacketCost+s.model.SocketOp))
+	var h [UDPHeaderBytes]byte
+	put16(h[0:2], u.local.Port)
+	put16(h[2:4], dst.Port)
+	lane := TXShard(s.ip, dst.IP, u.local.Port, dst.Port, s.Shards())
+	return s.sendRun(nil, lane, ProtoUDP, dst.IP, h[:], payloads[:n], clk)
 }
 
 // Send transmits to the connected peer.

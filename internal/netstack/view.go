@@ -142,7 +142,8 @@ func (s *Stack) inputViewInPlace(v *mem.View, clk *vtime.Clock, shard int) bool 
 	if hn > viewHeaderSnapMax {
 		hn = viewHeaderSnapMax
 	}
-	hdr, err := v.Snap(0, hn)
+	var frozen [viewHeaderSnapMax]byte
+	hdr, err := v.SnapTo(frozen[:], 0, hn)
 	if err != nil {
 		// Stale view: the frame is already gone; nothing to deliver.
 		return true
@@ -196,7 +197,7 @@ func (s *Stack) inputViewInPlace(v *mem.View, clk *vtime.Clock, shard int) bool 
 		}
 	}
 	if spliceDev != nil {
-		s.spliceEcho(v, hdr, fi.ip.HdrLen, int(fi.ip.TotalLen), clk, spliceDev)
+		s.spliceEcho(v, hdr, &fi, clk, spliceDev)
 		return true
 	}
 	clk.Charge(vtime.CompStack, s.model.SocketOp)
@@ -267,11 +268,11 @@ func (s *Stack) inputViewTCP(v *mem.View, hdr mem.Snap, fi viewFrameInfo, clk *v
 // small CopyIn; both the IPv4 and UDP checksums are invariant under
 // 16-bit-aligned field swaps, so nothing is recomputed and the payload
 // is never read. The frame then moves RX→TX through the splice device.
-func (s *Stack) spliceEcho(v *mem.View, hdr mem.Snap, ihl, totalLen int, clk *vtime.Clock, dev SpliceDevice) {
-	udpOff := EthHeaderBytes + ihl
-	hlen := udpOff + UDPHeaderBytes
-	rew := make([]byte, hlen)
-	copy(rew, hdr[:hlen])
+func (s *Stack) spliceEcho(v *mem.View, hdr mem.Snap, fi *viewFrameInfo, clk *vtime.Clock, dev SpliceDevice) {
+	udpOff := EthHeaderBytes + fi.ip.HdrLen
+	var scratch [EthHeaderBytes + 60 + UDPHeaderBytes]byte
+	rew := scratch[:udpOff+UDPHeaderBytes]
+	copy(rew, hdr)
 	copy(rew[0:6], hdr[6:12]) // eth dst ← src
 	copy(rew[6:12], hdr[0:6]) // eth src ← dst
 	copy(rew[EthHeaderBytes+12:EthHeaderBytes+16], hdr[EthHeaderBytes+16:EthHeaderBytes+20])
@@ -283,12 +284,12 @@ func (s *Stack) spliceEcho(v *mem.View, hdr mem.Snap, ihl, totalLen int, clk *vt
 		return
 	}
 	clk.Charge(vtime.CompCopy, vtime.Bytes(s.model.BoundaryCopyPerByte, len(rew)))
-	frameLen := uint32(EthHeaderBytes + totalLen)
+	frameLen := uint32(EthHeaderBytes) + uint32(fi.ip.TotalLen)
 	if err := dev.SpliceFrame(v, frameLen, clk); err != nil {
 		// TX saturated (or frame not spliceable): degrade to one copied
-		// send of the already-rewritten frame. frameLen is within the
-		// certified view, so the CopyOut either fills frame or fails
-		// stale.
+		// send of the already-rewritten frame on the flow's lane.
+		// frameLen is within the certified view, so the CopyOut either
+		// fills frame or fails stale.
 		frame := make([]byte, frameLen)
 		_, cerr := v.CopyOut(frame, 0)
 		v.Release()
@@ -296,7 +297,8 @@ func (s *Stack) spliceEcho(v *mem.View, hdr mem.Snap, ihl, totalLen int, clk *vt
 			return
 		}
 		clk.Charge(vtime.CompCopy, vtime.Bytes(s.model.BoundaryCopyPerByte, len(frame)))
-		if _, serr := s.dev.SendFrame(frame, clk); serr != nil {
+		lane := TXShard(s.ip, fi.ip.Src, fi.udp.dstPort, fi.udp.srcPort, s.Shards())
+		if s.sendFrame(lane, frame, clk) != nil {
 			return
 		}
 	}

@@ -357,6 +357,16 @@ func (r *Ring) SnapSlot(i uint32) (mem.Snap, error) {
 	return r.space.Snapshot(r.access, r.SlotAddr(i), uint64(r.entrySize))
 }
 
+// SnapSlotTo is SnapSlot into caller-owned trusted storage (buf must
+// hold one entry): a consumer's per-entry loop freezes each slot into
+// one stack array and allocates nothing.
+//
+//rakis:untrusted
+//rakis:snapshot
+func (r *Ring) SnapSlotTo(buf []byte, i uint32) (mem.Snap, error) {
+	return r.space.SnapshotTo(buf, r.access, r.SlotAddr(i), uint64(r.entrySize))
+}
+
 // WriteU64 stores v into the i-th slot; the slot must be at least 8 bytes.
 func (r *Ring) WriteU64(i uint32, v uint64) error {
 	return r.space.PutU64(r.access, r.SlotAddr(i), v)

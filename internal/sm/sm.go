@@ -5,9 +5,10 @@
 // It has three parts, as in the paper:
 //
 //   - The in-enclave UDP/IP stack: a trimmed netstack configuration
-//     (the LWIP 80K→5K cut) whose link device, XskLink, sends every
-//     outgoing frame — scalar or vectored — down one path onto the XSK
-//     FastPath Module its flow's inbound packets arrive on.
+//     (the LWIP 80K→5K cut) whose link device, XskLink, lends it the
+//     UMem frames it builds every outgoing frame in — scalar or
+//     vectored, one path — on the XSK FastPath Module its flow's inbound
+//     packets arrive on.
 //   - The SyncProxy: a thin per-thread stub that forwards the five
 //     io_uring-served syscalls to a UringFM and blocks for the result.
 //   - The API submodule: routes syscalls to the right IO provider and
@@ -31,18 +32,23 @@ import (
 )
 
 // XskLink exposes a set of XSK FastPath Modules as the enclave stack's
-// layer-2 device. TX is flow-affine: each outgoing frame is hashed with
-// the reversed netstack.FlowHash tuple, which by the RSS consistency
-// invariant is exactly the queue its flow's inbound packets arrive on —
-// so a flow's RX, stack processing, and TX all stay on one shard.
-// Frames with no flow identity (ARP, non-IPv4) hand off to shard 0,
+// layer-2 device: a netstack.LendingDevice with one TX lane per XSK.
+// TX is flow-affine, and the lane is the stack's choice, not the link's:
+// the stack hashes the flow tuple it already holds in trusted memory
+// (netstack.TXShard — the reversed netstack.FlowHash, which by the RSS
+// consistency invariant is exactly the queue the flow's inbound packets
+// arrive on) and names the lane in Lend and Publish, so a flow's RX,
+// stack processing, and TX all stay on one shard and no frame is ever
+// parsed on its way out. Frames with no flow identity (ARP) use lane 0,
 // matching the steering program's ARP-on-queue-0 rule.
 //
-// There is one TX path: every frame, scalar or vectored, goes through
-// sendBatchRetry into its shard's xsk.Socket.SendBatch. A scalar
-// SendFrame is a run of one. Concurrent senders of one shard serialize
-// on the socket's own lock; nothing queues frames in between (DESIGN.md,
-// "Batched fast path", records why the former coalescer was removed).
+// There is one TX path: the stack borrows a run of UMem frames from the
+// lane's socket (Lend), builds its frames in them, and Publish produces
+// the run on xTX, riding out a full ring on the lane's ladder. A scalar
+// send is a run of one. Concurrent senders of one lane serialize on the
+// socket's own lock, and only while lending and publishing — they build
+// in parallel; nothing queues frames in between (DESIGN.md, "Batched
+// fast path", records why the former coalescer was removed).
 type XskLink struct {
 	socks []*xsk.Socket
 	mac   [6]byte
@@ -78,27 +84,6 @@ func (l *XskLink) ShardTx(i int) uint64 {
 		return 0
 	}
 	return l.txPkts[i].Load()
-}
-
-// txShard picks the TX queue for one frame: the hash of the reversed
-// flow tuple of the header the enclave stack just built — the shard the
-// peer's packets arrive on. UDP and TCP both carry their port pair at
-// the same offsets, so a TCP connection's entire output (handshake
-// replies, data, ACKs, retransmits) rides the same lane its inbound
-// segments arrive on, and the fragments of one datagram ride one lane
-// (netstack.FrameFlow keys them by address pair). Anything without a
-// flow identity (ARP, non-IPv4) goes to shard 0, whose queue also
-// carries inbound ARP.
-func (l *XskLink) txShard(frame []byte) int {
-	n := len(l.socks)
-	if n <= 1 {
-		return 0
-	}
-	src, dst, sport, dport, ok := netstack.FrameFlow(frame)
-	if !ok {
-		return 0
-	}
-	return netstack.TXShard(src, dst, sport, dport, n)
 }
 
 // sendRetryMax bounds the retries on a full TX ring. Transient fullness
@@ -140,73 +125,46 @@ func (ld *txLadder) step(clk *vtime.Clock) bool {
 	return true
 }
 
-// SendFrame publishes one frame on its shard's xTX: a one-element run
-// through the same path as SendFrames, charged to the caller's clock.
-func (l *XskLink) SendFrame(data []byte, clk *vtime.Clock) (uint64, error) {
-	frames := [1][]byte{data}
-	var errs [1]error
-	l.sendBatchRetry(l.txShard(data), frames[:], errs[:], clk)
-	return clk.Now(), errs[0]
-}
-
-// SendFrames transmits a run of frames as one batched publish per ring
-// pass, implementing netstack.BatchLinkDevice for the stack's batched IP
-// path. A batched send from one socket is a single flow, so the run is
-// normally one TX shard's and goes out in one call; a mixed run goes out
-// as its maximal same-shard stretches, in order. It returns how many
-// leading frames went out and the error of the first that did not,
-// stopping there — a ring still full after the ladder reads ErrRingFull
-// here exactly as it does from SendFrame.
-func (l *XskLink) SendFrames(frames [][]byte, clk *vtime.Clock) (int, error) {
-	errs := make([]error, len(frames))
-	for start := 0; start < len(frames); {
-		shard, end := l.txShard(frames[start]), start+1
-		for end < len(frames) && l.txShard(frames[end]) == shard {
-			end++
-		}
-		l.sendBatchRetry(shard, frames[start:end], errs[start:end], clk)
-		for i := start; i < end; i++ {
-			if errs[i] != nil {
-				return i, errs[i]
-			}
-		}
-		start = end
+// Lend borrows a UMem TX frame of the lane's socket for each element of
+// bufs, every one at least size bytes, riding out an empty frame pool on
+// the lane's ladder. It implements netstack.LendingDevice.
+func (l *XskLink) Lend(lane, size int, bufs []mem.TxBuf, clk *vtime.Clock) (int, error) {
+	s := l.socks[lane]
+	if uint32(size) > s.UMem.FrameSize() {
+		return 0, xsk.ErrTooBig
 	}
-	return len(frames), nil
-}
-
-// sendBatchRetry pushes a frame run through one shard's SendBatch,
-// riding out transient fullness on the shard's txLadder. Frames still
-// unsent after the ladder drop like a NIC queue overflow; per-frame
-// outcomes land positionally in errs.
-func (l *XskLink) sendBatchRetry(shard int, frames [][]byte, errs []error, clk *vtime.Clock) {
-	s := l.socks[shard]
-	ld := l.ladder(shard)
-	sent := 0
-	for sent < len(frames) {
-		n, err := s.SendBatch(frames[sent:], clk)
-		if n > 0 {
-			l.txPkts[shard].Add(uint64(n))
-		}
-		sent += n
-		if sent == len(frames) {
-			break
-		}
-		if err != nil && err != xsk.ErrRingFull && err != xsk.ErrNoFrame {
-			// A frame the ring can never take (e.g. oversized): record
-			// its error and move past it.
-			errs[sent] = err
-			sent++
-			continue
+	for ld := l.ladder(lane); ; {
+		if n := s.Lend(bufs, clk); n > 0 {
+			return n, nil
 		}
 		if !ld.step(clk) {
+			return 0, xsk.ErrNoFrame
+		}
+	}
+}
+
+// Publish produces a run of lent, built frames on the lane's xTX as one
+// batched publish per ring pass, riding out transient fullness on the
+// lane's ladder. It returns how many leading frames went out. Frames
+// still unsent after the ladder drop like a NIC queue overflow — they go
+// back to the frame pool, and the error (ErrRingFull, or whatever
+// stopped the ring taking them) is reported beside the count.
+func (l *XskLink) Publish(lane int, bufs []mem.TxBuf, clk *vtime.Clock) (int, error) {
+	s := l.socks[lane]
+	ld := l.ladder(lane)
+	sent := 0
+	for {
+		n, err := s.Publish(bufs[sent:], clk)
+		l.txPkts[lane].Add(uint64(n))
+		if sent += n; sent == len(bufs) {
+			return sent, nil
+		}
+		if (err != nil && err != xsk.ErrRingFull) || !ld.step(clk) {
+			s.Abort(bufs[sent:])
 			if err == nil {
 				err = xsk.ErrRingFull
 			}
-			for i := sent; i < len(frames); i++ {
-				errs[i] = err
-			}
-			break
+			return sent, err
 		}
 	}
 }

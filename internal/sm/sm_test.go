@@ -294,77 +294,183 @@ func (r *linkRig) drain(t *testing.T, i int) [][]byte {
 	return out
 }
 
-// udpFragment builds an Ethernet/IPv4 frame carrying l4 as the piece of
-// a UDP datagram at byte offset off.
-func udpFragment(src, dst netstack.IP4, off uint16, more bool, l4 []byte) []byte {
-	pkt := netstack.MarshalIPv4(netstack.IPv4Header{ID: 7, Proto: netstack.ProtoUDP,
-		Src: src, Dst: dst, MF: more, FragOff: off}, l4)
-	return netstack.MarshalEth(netstack.EthHeader{Dst: [6]byte{2, 0, 0, 0, 0, 1},
-		Src: [6]byte{2, 0, 0, 0, 0, 9}, Type: netstack.EtherTypeIPv4}, pkt)
+// complete plays the kernel on shard i without looking at the frames
+// (and without allocating): every queued xTX descriptor is consumed and
+// completed on xCompl.
+func (r *linkRig) complete(i int) {
+	avail, _ := r.kTX[i].Available()
+	for j := uint32(0); j < avail; j++ {
+		slot, _ := r.kTX[i].SlotBytes(j)
+		r.kCompl[i].WriteU64(j, xsk.GetDesc(slot).Addr)
+	}
+	r.kTX[i].Release(avail)
+	r.kCompl[i].Submit(avail, 0)
 }
 
-// TestSendFrameIsBatchOfOne: a scalar SendFrame and a one-frame
-// SendFrames are the same send — same ring indices, same descriptor,
-// same counters, same charge to the caller's clock.
-func TestSendFrameIsBatchOfOne(t *testing.T) {
-	frame := udpFragment(netstack.IP4{10, 0, 0, 3}, netstack.IP4{10, 0, 0, 1}, 0, false,
-		append([]byte{0, 7, 0x9c, 0x40, 0, 72, 0, 0}, make([]byte, 64)...))
-	type outcome struct {
-		end, now         uint64 // returned time, caller's clock after the send
-		local, prod      uint32
-		desc             xsk.Desc
-		shardTx          uint64
-		pkts, bytes      uint64
-		calls, batched   uint64
-		umemFree, txFree uint32
-		wire             string
+// poolsIntact reports every socket's frame pool sound and missing
+// exactly the frames the kernel side still holds (out[i] of shard i).
+func (r *linkRig) poolsIntact(t *testing.T, frames int, out ...int) {
+	t.Helper()
+	for i, s := range r.socks {
+		if !s.UMem.InvariantHolds() || s.UMem.FreeFrames() != frames-out[i] {
+			t.Fatalf("shard %d: pool holds %d of %d frames with %d in flight (invariant %v)",
+				i, s.UMem.FreeFrames(), frames, out[i], s.UMem.InvariantHolds())
+		}
 	}
-	run := func(send func(l *XskLink, clk *vtime.Clock) (uint64, error)) outcome {
+}
+
+// sendFrames pushes whole prebuilt frames down one lane the way the
+// stack's cold path does: lend, plain copy, publish.
+func sendFrames(l *XskLink, lane int, frames [][]byte, clk *vtime.Clock) (int, error) {
+	bufs := make([]mem.TxBuf, len(frames))
+	k, err := l.Lend(lane, rigFrameSize, bufs, clk)
+	if err != nil {
+		return 0, err
+	}
+	for i := range bufs[:k] {
+		bufs[i].B = bufs[i].B[:copy(bufs[i].B, frames[i])]
+	}
+	return l.Publish(lane, bufs[:k], clk)
+}
+
+// rigStack is an enclave stack over the rig's link, bound to one UDP
+// socket, with the peer's MAC already known.
+func rigStack(t *testing.T, r *linkRig, peer netstack.Addr, ctrs *vtime.Counters) *netstack.UDPSocket {
+	t.Helper()
+	stack, err := netstack.New(netstack.Config{Name: "enclave", Dev: r.link, IP: netstack.IP4{10, 0, 0, 3},
+		Shards: len(r.socks), Counters: ctrs, StaticARP: map[netstack.IP4][6]byte{peer.IP: {2, 0, 0, 0, 0, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stack.Close)
+	sock, err := stack.UDPBind(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sock
+}
+
+// txOutcome is everything one send leaves behind that the enclave
+// decided: ring indices, the descriptor, lane and counter movement, the
+// charge to the caller's clock, and the pool.
+type txOutcome struct {
+	now            uint64
+	local, prod    uint32
+	desc           xsk.Desc
+	pkts, bytes    uint64
+	calls, batched uint64
+	umemFree       int
+	txFree         uint32
+}
+
+func (r *linkRig) outcome(clk *vtime.Clock) txOutcome {
+	s := r.socks[0]
+	slot, _ := r.kTX[0].SlotBytes(0)
+	free, _ := s.TX.Free()
+	return txOutcome{now: clk.Now(), local: s.TX.Local(), prod: s.TX.ProducerValue(),
+		desc: xsk.GetDesc(slot), pkts: r.ctrs.PacketsTx.Load(), bytes: r.ctrs.BytesTx.Load(),
+		calls: r.ctrs.BatchCalls.Load(), batched: r.ctrs.BatchedMsgs.Load(),
+		umemFree: s.UMem.FreeFrames(), txFree: free}
+}
+
+// TestLendPublishOneIsSendBatchOfOne: a one-frame lend → copy → publish
+// through the link and the socket's whole-frame SendBatch of the same
+// frame are the same send — same ring indices, same descriptor, same
+// counters, same charge to the caller's clock, same bytes on the wire.
+func TestLendPublishOneIsSendBatchOfOne(t *testing.T) {
+	frame := buildUDPFrame(netstack.IP4{10, 0, 0, 3}, netstack.IP4{10, 0, 0, 1}, 7, 40000, make([]byte, 64))
+	run := func(send func(r *linkRig, clk *vtime.Clock) (int, error)) (txOutcome, string) {
 		r := newLinkRig(t, 1, 8, 16)
 		var clk vtime.Clock
-		end, err := send(r.link, &clk)
-		if err != nil {
-			t.Fatal(err)
+		if n, err := send(r, &clk); n != 1 || err != nil {
+			t.Fatalf("sent %d, %v", n, err)
 		}
-		s := r.socks[0]
-		slot, _ := r.kTX[0].SlotBytes(0)
-		free, _ := s.TX.Free()
-		o := outcome{end: end, now: clk.Now(), local: s.TX.Local(), prod: s.TX.ProducerValue(),
-			desc: xsk.GetDesc(slot), shardTx: r.link.ShardTx(0),
-			pkts: r.ctrs.PacketsTx.Load(), bytes: r.ctrs.BytesTx.Load(),
-			calls: r.ctrs.BatchCalls.Load(), batched: r.ctrs.BatchedMsgs.Load(),
-			umemFree: uint32(s.UMem.FreeFrames()), txFree: free}
-		if sent := r.drain(t, 0); len(sent) != 1 {
+		o := r.outcome(&clk)
+		sent := r.drain(t, 0)
+		if len(sent) != 1 {
 			t.Fatalf("%d frames on the wire, want 1", len(sent))
-		} else {
-			o.wire = string(sent[0])
 		}
-		return o
+		return o, string(sent[0])
 	}
-	scalar := run(func(l *XskLink, clk *vtime.Clock) (uint64, error) { return l.SendFrame(frame, clk) })
-	vector := run(func(l *XskLink, clk *vtime.Clock) (uint64, error) {
-		n, err := l.SendFrames([][]byte{frame}, clk)
-		if err == nil && n != 1 {
-			t.Errorf("SendFrames accepted %d frames, want 1", n)
-		}
-		return clk.Now(), err
+	lent, lentWire := run(func(r *linkRig, clk *vtime.Clock) (int, error) {
+		defer func() {
+			if got := r.link.ShardTx(0); got != 1 {
+				t.Errorf("ShardTx = %d, want 1", got)
+			}
+		}()
+		return sendFrames(r.link, 0, [][]byte{frame}, clk)
 	})
-	if scalar != vector {
-		t.Fatalf("scalar and one-frame vectored sends differ:\n scalar %+v\n vector %+v", scalar, vector)
+	whole, wholeWire := run(func(r *linkRig, clk *vtime.Clock) (int, error) {
+		return r.socks[0].SendBatch([][]byte{frame}, clk)
+	})
+	if lent != whole || lentWire != wholeWire {
+		t.Fatalf("lend/publish and SendBatch differ:\n lent  %+v\n whole %+v", lent, whole)
 	}
-	if scalar.local != 1 || scalar.prod != 1 || scalar.shardTx != 1 || scalar.pkts != 1 ||
-		scalar.desc.Len != uint32(len(frame)) || scalar.wire != string(frame) || scalar.now == 0 {
-		t.Fatalf("one frame sent, but the ring saw %+v", scalar)
+	if lent.local != 1 || lent.prod != 1 || lent.pkts != 1 || lent.desc.Len != uint32(len(frame)) ||
+		lentWire != string(frame) || lent.now == 0 || lent.umemFree != 15 {
+		t.Fatalf("one frame sent, but the ring saw %+v", lent)
+	}
+}
+
+// TestPublishNeverReadsTheFrameBack: between lend and publish the lent
+// frame is the host's to scribble, so nothing the enclave decides may
+// come from it. The same datagram is sent twice through the stack's
+// build, once untouched and once with the host overwriting the whole
+// UMem frame — headers rewritten to another flow and another length —
+// before the publish: same lane, same descriptor, same counters, same
+// charge. (The scribble is stepwise on the test goroutine: a concurrent
+// writer to simulated shared memory is a Go data race, not an attack the
+// race detector could tell from one.)
+func TestPublishNeverReadsTheFrameBack(t *testing.T) {
+	payload := make([]byte, 200)
+	want := netstack.EthHeaderBytes + netstack.IPv4HeaderBytes + netstack.UDPHeaderBytes + len(payload)
+	run := func(scribble bool) (txOutcome, [2]uint64) {
+		r := newLinkRig(t, 2, 8, 16)
+		var clk vtime.Clock
+		var bufs [1]mem.TxBuf
+		if n, err := r.link.Lend(0, want, bufs[:], &clk); n != 1 || err != nil {
+			t.Fatalf("Lend = %d, %v", n, err)
+		}
+		bufs[0].B = bufs[0].B[:want]
+		copy(bufs[0].B, buildUDPFrame(netstack.IP4{10, 0, 0, 3}, netstack.IP4{10, 0, 0, 1}, 9, 7, payload))
+		if scribble {
+			host, err := r.sp.Bytes(mem.RoleHost, r.setups[0].UMemBase+mem.Addr(bufs[0].Off), rigFrameSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range host {
+				host[i] = 0xFF
+			}
+			copy(host, buildUDPFrame(netstack.IP4{10, 0, 0, 4}, netstack.IP4{10, 0, 0, 2}, 1, 2, make([]byte, 1400)))
+		}
+		if n, err := r.link.Publish(0, bufs[:], &clk); n != 1 || err != nil {
+			t.Fatalf("Publish = %d, %v", n, err)
+		}
+		o := r.outcome(&clk)
+		if o.desc.Addr != bufs[0].Off {
+			t.Fatalf("descriptor names frame %#x, lent %#x", o.desc.Addr, bufs[0].Off)
+		}
+		return o, [2]uint64{r.link.ShardTx(0), r.link.ShardTx(1)}
+	}
+	clean, cleanLanes := run(false)
+	dirty, dirtyLanes := run(true)
+	if clean != dirty || cleanLanes != dirtyLanes {
+		t.Fatalf("the host's scribble moved an enclave decision:\n clean %+v %v\n dirty %+v %v",
+			clean, cleanLanes, dirty, dirtyLanes)
+	}
+	if clean.desc.Len != uint32(want) || cleanLanes != [2]uint64{1, 0} || clean.bytes != uint64(want) {
+		t.Fatalf("published %+v on lanes %v, want one %d-byte frame on lane 0", clean, cleanLanes, want)
 	}
 }
 
 // TestConcurrentScalarSendsDeliverOnceInOrder: N goroutines each issue M
-// scalar SendFrames on one shard while the kernel side drains the ring.
+// one-frame sends on one lane while the kernel side drains the ring.
 // Every frame must reach the wire exactly once, and each goroutine's
 // frames in the order it sent them. (-race checks the socket lock is all
-// the serialization the path needs. The ring is deep enough that no
-// sender can lose the race for a free slot sendRetryMax times running —
-// that legitimate drop is TestRingThatStaysFullDropsAfterLadder's.)
+// the serialization the path needs — senders build their lent frames
+// outside it. The ring is deep enough that no sender can lose the race
+// for a free slot sendRetryMax times running — that legitimate drop is
+// TestRingThatStaysFullDropsAfterLadder's.)
 func TestConcurrentScalarSendsDeliverOnceInOrder(t *testing.T) {
 	const senders, perSender = 8, 200
 	r := newLinkRig(t, 1, 256, 1024)
@@ -395,7 +501,7 @@ func TestConcurrentScalarSendsDeliverOnceInOrder(t *testing.T) {
 				frame := make([]byte, 64)
 				binary.BigEndian.PutUint32(frame[56:], uint32(g))
 				binary.BigEndian.PutUint32(frame[60:], uint32(k))
-				if _, err := r.link.SendFrame(frame, &clk); err != nil {
+				if _, err := sendFrames(r.link, 0, [][]byte{frame}, &clk); err != nil {
 					t.Errorf("sender %d frame %d: %v", g, k, err)
 					return
 				}
@@ -420,39 +526,20 @@ func TestConcurrentScalarSendsDeliverOnceInOrder(t *testing.T) {
 	if got := r.link.ShardTx(0); got != senders*perSender {
 		t.Fatalf("ShardTx = %d, want %d", got, senders*perSender)
 	}
-}
-
-// TestOversizedFrameMidRunIsPositional: a frame the ring can never take
-// gets its own error at its own index, and the frames around it go out.
-func TestOversizedFrameMidRunIsPositional(t *testing.T) {
-	r := newLinkRig(t, 1, 8, 16)
-	frames := [][]byte{{1}, {2}, make([]byte, rigFrameSize+1), {4}}
-	errs := make([]error, len(frames))
-	var clk vtime.Clock
-	r.link.sendBatchRetry(0, frames, errs, &clk)
-	for i, err := range errs {
-		if want := i == 2; errors.Is(err, xsk.ErrTooBig) != want || (err != nil) != want {
-			t.Errorf("frame %d: err = %v", i, err)
-		}
-	}
-	sent := r.drain(t, 0)
-	if len(sent) != 3 || sent[0][0] != 1 || sent[1][0] != 2 || sent[2][0] != 4 {
-		t.Fatalf("wire carries %v, want frames 1, 2, 4 in order", sent)
-	}
-	if got := r.link.ShardTx(0); got != 3 {
-		t.Fatalf("ShardTx = %d, want 3", got)
-	}
+	r.socks[0].Reap(&vtime.Clock{})
+	r.poolsIntact(t, 1024, 0)
 }
 
 // TestRingThatStaysFullDropsAfterLadder: with no kernel draining xTX, a
 // send climbs the whole reap-and-backoff ladder (sendRetryMax rungs,
 // 10 µs doubling to the 320 µs ceiling) and then drops with ErrRingFull,
-// leaving the ring and counters untouched.
+// leaving the ring and counters untouched and the frames it had been
+// lent back in the pool.
 func TestRingThatStaysFullDropsAfterLadder(t *testing.T) {
 	r := newLinkRig(t, 1, 8, 32)
 	var clk vtime.Clock
 	for i := 0; i < 8; i++ {
-		if _, err := r.link.SendFrame([]byte{byte(i)}, &clk); err != nil {
+		if _, err := sendFrames(r.link, 0, [][]byte{{byte(i)}}, &clk); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -464,63 +551,82 @@ func TestRingThatStaysFullDropsAfterLadder(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	_, err := r.link.SendFrame([]byte{8}, &clk)
-	if !errors.Is(err, xsk.ErrRingFull) {
-		t.Fatalf("err = %v, want ErrRingFull", err)
+	n, err := sendFrames(r.link, 0, [][]byte{{8}, {9}, {10}}, &clk)
+	if n != 0 || !errors.Is(err, xsk.ErrRingFull) {
+		t.Fatalf("sent %d, err = %v; want 0, ErrRingFull", n, err)
 	}
 	if el := time.Since(start); el < ladder {
 		t.Fatalf("gave up after %v, before the %v ladder was climbed", el, ladder)
 	}
 	if r.socks[0].TX.Local() != 8 || r.link.ShardTx(0) != 8 || r.ctrs.PacketsTx.Load() != 8 {
-		t.Fatalf("dropped frame left a trace: local=%d shardTx=%d pkts=%d",
+		t.Fatalf("dropped run left a trace: local=%d shardTx=%d pkts=%d",
 			r.socks[0].TX.Local(), r.link.ShardTx(0), r.ctrs.PacketsTx.Load())
 	}
+	r.poolsIntact(t, 32, 8) // the refused run's three frames are back
 	// The kernel catches up: the next send goes out.
 	r.drain(t, 0)
-	if _, err := r.link.SendFrame([]byte{9}, &clk); err != nil {
+	if _, err := sendFrames(r.link, 0, [][]byte{{11}}, &clk); err != nil {
 		t.Fatalf("send after drain: %v", err)
 	}
+	r.poolsIntact(t, 32, 1)
 }
 
-// TestFragmentsLeaveOnOneLane: every fragment of one datagram must leave
-// on the lane the flow's address pair selects. The later fragments carry
-// payload where the first carries the UDP ports; the bytes here are
-// chosen so that reading them as ports scatters the pieces over both
-// lanes.
-func TestFragmentsLeaveOnOneLane(t *testing.T) {
-	src, dst := netstack.IP4{10, 0, 0, 3}, netstack.IP4{10, 0, 0, 1}
-	r := newLinkRig(t, 2, 8, 16)
-	lane := netstack.TXShard(src, dst, 0, 0, 2)
-	// portsFor returns four bytes that, hashed as a port pair, select
-	// the given lane.
-	portsFor := func(want int) []byte {
-		for p := uint16(1); p != 0; p++ {
-			if netstack.TXShard(src, dst, p, 7, 2) == want {
-				return []byte{byte(p >> 8), byte(p), 0, 7}
-			}
-		}
-		t.Fatalf("no port pair selects lane %d", want)
-		return nil
-	}
-	piece := func(ports []byte, rest string) []byte { return append(append([]byte(nil), ports...), rest...) }
-	frags := [][]byte{
-		udpFragment(src, dst, 0, true, piece(portsFor(1-lane), "\x00\x18\x00\x00aaaaaaaa")),
-		udpFragment(src, dst, 16, true, piece(portsFor(lane), "bbbb")),
-		udpFragment(src, dst, 24, false, piece(portsFor(1-lane), "cccc")),
-	}
+// TestLendRefusesWhatAFrameCannotHold: a run whose frames would not fit
+// a UMem frame is refused before anything is lent, and a pool that stays
+// empty past the ladder reads ErrNoFrame with nothing lent either.
+func TestLendRefusesWhatAFrameCannotHold(t *testing.T) {
+	r := newLinkRig(t, 1, 8, 2)
 	var clk vtime.Clock
-	// Vectored and scalar sends take the same lane decision.
-	if _, err := r.link.SendFrames(frags, &clk); err != nil {
+	var bufs [3]mem.TxBuf
+	if n, err := r.link.Lend(0, rigFrameSize+1, bufs[:1], &clk); n != 0 || !errors.Is(err, xsk.ErrTooBig) {
+		t.Fatalf("oversized Lend = %d, %v; want 0, ErrTooBig", n, err)
+	}
+	r.poolsIntact(t, 2, 0)
+	// Two frames in the pool: a run of three is lent short, and a second
+	// run finds the pool dry.
+	if n, err := r.link.Lend(0, 64, bufs[:], &clk); n != 2 || err != nil {
+		t.Fatalf("Lend from a pool of two = %d, %v; want 2, nil", n, err)
+	}
+	if n, err := r.link.Lend(0, 64, bufs[2:], &clk); n != 0 || !errors.Is(err, xsk.ErrNoFrame) {
+		t.Fatalf("Lend from a dry pool = %d, %v; want 0, ErrNoFrame", n, err)
+	}
+	if n, err := r.link.Publish(0, bufs[:2], &clk); n != 2 || err != nil {
+		t.Fatalf("Publish = %d, %v", n, err)
+	}
+	r.poolsIntact(t, 2, 2)
+}
+
+// TestFragmentsLeaveOnOneLane: the lane is the stack's choice, made from
+// the flow tuple it holds — never from the frame. Unfragmented datagrams
+// leave on the lane their ports hash to; every fragment of an over-MTU
+// datagram leaves on the address pair's lane (where RSS steers a
+// fragmented datagram coming the other way), although the later
+// fragments carry payload where the first carries the UDP ports. The
+// peer port is chosen so the two lanes differ.
+func TestFragmentsLeaveOnOneLane(t *testing.T) {
+	local := netstack.Addr{IP: netstack.IP4{10, 0, 0, 3}, Port: 9}
+	peer := netstack.Addr{IP: netstack.IP4{10, 0, 0, 1}, Port: 7}
+	fragLane := netstack.TXShard(local.IP, peer.IP, 0, 0, 2)
+	for netstack.TXShard(local.IP, peer.IP, local.Port, peer.Port, 2) == fragLane {
+		peer.Port++
+	}
+	r := newLinkRig(t, 2, 8, 16)
+	sock := rigStack(t, r, peer, nil)
+	var clk vtime.Clock
+	if err := sock.SendTo(make([]byte, 4000), peer, &clk); err != nil { // three fragments
 		t.Fatal(err)
 	}
-	for _, f := range frags {
-		if _, err := r.link.SendFrame(f, &clk); err != nil {
-			t.Fatal(err)
-		}
+	if n, err := sock.SendToN([][]byte{make([]byte, 64), make([]byte, 64)}, peer, &clk); n != 2 || err != nil {
+		t.Fatalf("SendToN = %d, %v", n, err)
 	}
-	if got, stray := r.link.ShardTx(lane), r.link.ShardTx(1-lane); got != 6 || stray != 0 {
-		t.Fatalf("lane %d carried %d fragments and lane %d carried %d, want all 6 on lane %d",
-			lane, got, 1-lane, stray, lane)
+	if frags, whole := r.link.ShardTx(fragLane), r.link.ShardTx(1-fragLane); frags != 3 || whole != 2 {
+		t.Fatalf("lane %d carried %d frames and lane %d carried %d, want 3 fragments and 2 whole datagrams",
+			fragLane, frags, 1-fragLane, whole)
+	}
+	for i, f := range r.drain(t, fragLane) {
+		if mf := f[netstack.EthHeaderBytes+6]&0x20 != 0; mf != (i < 2) {
+			t.Fatalf("fragment %d: MF = %v", i, mf)
+		}
 	}
 }
 
@@ -528,21 +634,13 @@ func TestFragmentsLeaveOnOneLane(t *testing.T) {
 // the ladder, a vectored send reports the datagrams that actually went
 // out — none of them and ErrRingFull when the first is dropped, exactly
 // as the scalar send does; the leading ones that fit otherwise — and
-// PacketsTx counts only those.
+// PacketsTx counts only those. Every frame lent to a datagram that did
+// not go out is back in the pool.
 func TestVectoredSendReportsWhatWentOut(t *testing.T) {
 	peer := netstack.Addr{IP: netstack.IP4{10, 0, 0, 1}, Port: 7}
 	r := newLinkRig(t, 1, 8, 32)
 	ctrs := &vtime.Counters{}
-	stack, err := netstack.New(netstack.Config{Name: "enclave", Dev: r.link, IP: netstack.IP4{10, 0, 0, 3},
-		Counters: ctrs, StaticARP: map[netstack.IP4][6]byte{peer.IP: {2, 0, 0, 0, 0, 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(stack.Close)
-	sock, err := stack.UDPBind(9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sock := rigStack(t, r, peer, ctrs)
 	var clk vtime.Clock
 	run := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d")}
 
@@ -558,6 +656,7 @@ func TestVectoredSendReportsWhatWentOut(t *testing.T) {
 	if got := ctrs.PacketsTx.Load(); got != 8 {
 		t.Fatalf("PacketsTx = %d, want 8 (6 scalar + the 2 that fit)", got)
 	}
+	r.poolsIntact(t, 32, 8)
 
 	// Ring full: nothing of the run goes out, vectored or scalar.
 	if n, err := sock.SendToN(run, peer, &clk); n != 0 || !errors.Is(err, xsk.ErrRingFull) {
@@ -566,16 +665,47 @@ func TestVectoredSendReportsWhatWentOut(t *testing.T) {
 	if err := sock.SendTo(run[0], peer, &clk); !errors.Is(err, xsk.ErrRingFull) {
 		t.Fatalf("scalar send into a full ring: %v, want ErrRingFull", err)
 	}
-	frames := [][]byte{{1}, {2}, {3}, {4}}
-	if n, err := r.link.SendFrames(frames, &clk); n != 0 || !errors.Is(err, xsk.ErrRingFull) {
-		t.Fatalf("SendFrames into a full ring: %d, %v; want 0, ErrRingFull", n, err)
-	}
 	if got := ctrs.PacketsTx.Load(); got != 8 {
 		t.Fatalf("PacketsTx = %d after the dropped runs, want 8", got)
 	}
+	r.poolsIntact(t, 32, 8)
 	if wire := r.drain(t, 0); len(wire) != 8 {
 		t.Fatalf("%d frames on the wire, want 8", len(wire))
 	}
+}
+
+// TestSendThroughTheLinkAllocatesNothing: a datagram from SendTo or
+// SendToN to the xTX descriptor touches the heap nowhere — not in the
+// stack, not in the link, not in the socket.
+func TestSendThroughTheLinkAllocatesNothing(t *testing.T) {
+	peer := netstack.Addr{IP: netstack.IP4{10, 0, 0, 1}, Port: 7}
+	r := newLinkRig(t, 2, 64, 128)
+	sock := rigStack(t, r, peer, &vtime.Counters{})
+	lane := netstack.TXShard(sock.LocalAddr().IP, peer.IP, sock.LocalAddr().Port, peer.Port, 2)
+	var clk vtime.Clock
+	payload := make([]byte, 64)
+	run := make([][]byte, 32)
+	for i := range run {
+		run[i] = make([]byte, 1400)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := sock.SendTo(payload, peer, &clk); err != nil {
+			t.Fatal(err)
+		}
+		r.complete(lane)
+	}); n != 0 && !raceDetectorEnabled {
+		t.Errorf("SendTo allocates %v objects per datagram, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if n, err := sock.SendToN(run, peer, &clk); n != len(run) || err != nil {
+			t.Fatalf("SendToN = %d, %v", n, err)
+		}
+		r.complete(lane)
+	}); n != 0 && !raceDetectorEnabled {
+		t.Errorf("SendToN allocates %v objects per 32-datagram run, want 0", n)
+	}
+	r.socks[lane].Reap(&clk)
+	r.poolsIntact(t, 128, 0, 0)
 }
 
 // TestPollCancelsPartialArm: a poll set wider than iSub, with no kernel

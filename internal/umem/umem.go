@@ -225,6 +225,17 @@ func (u *UMem) ValidateConsumed(routine Owner, offset uint64, length uint32) (ui
 	return idx, nil
 }
 
+// AbortTx returns a frame allocated for the send routine but never
+// produced into xTX — a lent buffer whose publish was refused — to the
+// user pool. The offset never left trusted memory, so the frame can only
+// have stopped being the send routine's if the host "completed" a frame
+// it was never given: that is refused and counted like any other
+// ownership violation, and the pool is left alone.
+func (u *UMem) AbortTx(offset uint64) error {
+	_, err := u.ValidateConsumed(OwnerTx, offset, 0)
+	return err
+}
+
 // ValidateView checks an (offset, length) pair consumed from xRX against
 // the same Table 2 constraints as ValidateConsumed, but instead of
 // returning the frame to the user pool it transfers ownership to a

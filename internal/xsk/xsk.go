@@ -147,6 +147,9 @@ type Socket struct {
 	// slot snapshot or UMem validation) — the descriptor-level half of
 	// Refusals().
 	descRefusals atomic.Uint64
+
+	// views backs RecvViews' result, reused across calls.
+	views []mem.View
 }
 
 // Attach validates the untrusted setup and constructs the trusted handle.
@@ -288,7 +291,9 @@ func (s *Socket) refillLocked(clk *vtime.Clock) int {
 // host-writable shared memory, so every header decision downstream must
 // go through View.Snap. Hostile entries are refused and skipped ("refuse
 // and advance consumer", Table 2) without poisoning their neighbours;
-// nil means the ring is empty.
+// nil means the ring is empty. The returned slice is the socket's own,
+// valid until the next RecvViews on this socket: the one consumer (the
+// shard's pump) hands every view on before it asks again.
 func (s *Socket) RecvViews(clk *vtime.Clock, max int) []mem.View {
 	if max <= 0 {
 		return nil
@@ -305,15 +310,16 @@ func (s *Socket) RecvViews(clk *vtime.Clock, max int) []mem.View {
 	}
 	clk.Charge(vtime.CompRing, s.model.RingOp)
 	clk.Charge(vtime.CompValidate, uint64(n)*s.model.UMemOp)
-	var out []mem.View
+	out := s.views[:0]
 	totalBytes := 0
+	var frozen [DescBytes]byte
 	for i := uint32(0); i < n; i++ {
 		clk.Sync(s.RX.SlotStamp(i))
 		// Single fetch: freeze the descriptor, validate the frozen
 		// fields, mint the view over the frozen fields. The host can
 		// still scribble the payload — that is the view's contract —
 		// but the certified bounds cannot move.
-		snap, err := s.RX.SnapSlot(i)
+		snap, err := s.RX.SnapSlotTo(frozen[:], i)
 		if err != nil {
 			s.descRefusals.Add(1)
 			s.trace.Emit(telemetry.EvRingRefusal, clk.Now(), telemetry.RingXskRX, 1)
@@ -334,6 +340,7 @@ func (s *Socket) RecvViews(clk *vtime.Clock, max int) []mem.View {
 		out = append(out, v)
 		totalBytes += int(d.Len)
 	}
+	s.views = out
 	s.RX.Release(n)
 	s.trace.Emit(telemetry.EvRingConsume, clk.Now(), telemetry.RingXskRX, uint64(n))
 	if s.counters != nil {
@@ -397,61 +404,59 @@ func (s *Socket) SpliceFrame(v *mem.View, n uint32, clk *vtime.Clock) error {
 	return nil
 }
 
-// SendBatch copies up to len(frames) frames from trusted memory into
-// fresh UMem frames and produces them on xTX as one run: one lock
-// acquisition, one certified read of the ring's free space, one
-// producer-index publish. The Monitor Module sees a single producer
-// advance, so the whole batch costs at most one sendto wakeup. It is the
-// socket's one copying transmit path — a scalar send is a run of one.
-//
-// Semantics follow sendmmsg: frames are sent in order, and the count of
-// frames actually produced is returned. An error is reported only when
-// the first frame cannot be sent; a short batch is success.
-func (s *Socket) SendBatch(frames [][]byte, clk *vtime.Clock) (int, error) {
-	if len(frames) == 0 {
-		return 0, nil
-	}
+// Lend reserves a TX frame for each element of bufs — the first half of
+// the transmit path (lend → build → publish): one lock hold covers the
+// opportunistic completion reap and the run of allocations. Each TxBuf
+// receives its frame's full window and UMem offset; the frames are the
+// send routine's (umem.OwnerTx) from here on, in no ring, and every one
+// must come back through Publish or Abort. Senders build with the lock
+// released, so they serialize only on the ring. Lend returns how many
+// leading elements it filled: fewer than asked when the pool runs dry.
+func (s *Socket) Lend(bufs []mem.TxBuf, clk *vtime.Clock) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reapLocked(clk) // opportunistically reclaim completed TX frames
+	s.reapLocked(clk)
+	for i := range bufs {
+		idx, err := s.UMem.Alloc(umem.OwnerTx)
+		if err != nil {
+			return i
+		}
+		off := s.UMem.FrameOffset(idx)
+		b, err := s.UMem.FrameBytes(off, s.UMem.FrameSize())
+		if err != nil {
+			s.UMem.AbortTx(off)
+			return i
+		}
+		bufs[i] = mem.TxBuf{B: b, Off: off}
+	}
+	return len(bufs)
+}
+
+// Publish produces lent frames on xTX as one run: one lock acquisition,
+// one certified read of the ring's free space, one producer-index
+// publish, so the Monitor Module sees a single producer advance and the
+// run costs at most one sendto wakeup. Each descriptor is (Off, len(B))
+// from the caller's trusted TxBuf — the frame itself is never consulted.
+// It returns how many leading frames were produced (an error when
+// none); the rest are still lent, for the caller to retry or Abort.
+func (s *Socket) Publish(bufs []mem.TxBuf, clk *vtime.Clock) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	free, _ := s.TX.Free()
 	if free == 0 {
 		return 0, ErrRingFull
 	}
-	n := 0
-	totalBytes := 0
-	var firstErr error
-	for _, frame := range frames {
-		if uint32(n) == free {
-			break
-		}
-		if uint32(len(frame)) > s.UMem.FrameSize() {
-			firstErr = ErrTooBig
-			break
-		}
-		idx, err := s.UMem.Alloc(umem.OwnerTx)
-		if err != nil {
-			firstErr = ErrNoFrame
-			break
-		}
-		off := s.UMem.FrameOffset(idx)
-		dst, err := s.UMem.FrameBytes(off, uint32(len(frame)))
-		if err != nil {
-			firstErr = err
-			break
-		}
-		copy(dst, frame)
+	n, totalBytes := 0, 0
+	for ; n < len(bufs) && uint32(n) < free; n++ {
 		slot, err := s.TX.SlotBytes(uint32(n))
 		if err != nil {
-			firstErr = err
+			if n == 0 {
+				return 0, err
+			}
 			break
 		}
-		PutDesc(slot, Desc{Addr: off, Len: uint32(len(frame))})
-		n++
-		totalBytes += len(frame)
-	}
-	if n == 0 {
-		return 0, firstErr
+		PutDesc(slot, Desc{Addr: bufs[n].Off, Len: uint32(len(bufs[n].B))})
+		totalBytes += len(bufs[n].B)
 	}
 	clk.Charge(vtime.CompRing, s.model.RingOp)
 	clk.Charge(vtime.CompValidate, uint64(n)*s.model.UMemOp)
@@ -467,6 +472,50 @@ func (s *Socket) SendBatch(frames [][]byte, clk *vtime.Clock) (int, error) {
 	}
 	return n, nil
 }
+
+// Abort returns lent frames that will not be published to the pool.
+func (s *Socket) Abort(bufs []mem.TxBuf) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range bufs {
+		s.UMem.AbortTx(bufs[i].Off)
+	}
+}
+
+// SendBatch transmits whole frames already built in trusted memory, for
+// callers with a frame in hand rather than one to build (the layer
+// benchmark, the Testing Module): lend, copy, publish, at most
+// sendBatchMax frames a call. Semantics follow sendmmsg: frames go in
+// order and the count produced is returned, short when a frame is too
+// big for a UMem frame or the pool or ring runs out; an error is
+// reported only when the first frame cannot be sent. A frame lent but
+// not produced goes back to the pool.
+func (s *Socket) SendBatch(frames [][]byte, clk *vtime.Clock) (int, error) {
+	if len(frames) == 0 {
+		return 0, nil
+	}
+	var bufs [sendBatchMax]mem.TxBuf
+	k := 0
+	for k < len(bufs) && k < len(frames) && uint32(len(frames[k])) <= s.UMem.FrameSize() {
+		k++
+	}
+	if k == 0 {
+		return 0, ErrTooBig
+	}
+	if k = s.Lend(bufs[:k], clk); k == 0 {
+		return 0, ErrNoFrame
+	}
+	for i := range bufs[:k] {
+		bufs[i].B = bufs[i].B[:copy(bufs[i].B, frames[i])]
+	}
+	n, err := s.Publish(bufs[:k], clk)
+	if n < k {
+		s.Abort(bufs[n:k])
+	}
+	return n, err
+}
+
+const sendBatchMax = 32
 
 // Reap consumes xCompl, validating ownership and returning frames to the
 // pool. It returns the number reclaimed.

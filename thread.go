@@ -272,6 +272,10 @@ func (t *Thread) RecvFrom(fd int, p []byte, block bool) (int, sys.Addr, error) {
 	return n, d.Src, nil
 }
 
+// sendRunStack is how many same-destination payloads SendToN gathers
+// without touching the heap: the widest vector the tuner advises.
+const sendRunStack = 32
+
 // SendToN transmits up to len(msgs) datagrams in one vectored call
 // (sendmmsg): one API hook and one fd lookup cover the batch, and the
 // enclave stack pushes all payloads through the batched XSK path — one
@@ -299,13 +303,17 @@ func (t *Thread) SendToN(fd int, msgs []sys.Mmsg) (int, error) {
 	// path handles one destination per run, so group consecutive
 	// same-destination messages.
 	sent := 0
+	var local [sendRunStack][]byte
 	for sent < len(msgs) {
 		dst := msgs[sent].Addr
 		end := sent + 1
 		for end < len(msgs) && msgs[end].Addr == dst {
 			end++
 		}
-		payloads := make([][]byte, 0, end-sent)
+		payloads := local[:0]
+		if end-sent > len(local) {
+			payloads = make([][]byte, 0, end-sent)
+		}
 		for i := sent; i < end; i++ {
 			payloads = append(payloads, msgs[i].Buf)
 		}

@@ -59,6 +59,9 @@
 #                        xsk.send_batch, xsk.recv_views) must read 0
 #                        allocs_per_op (see DESIGN.md, "One path per
 #                        direction")
+#  13. line counts      — prints the two non-test line counts CHANGES.md
+#                        and ROADMAP.md quote, with the commands
+#                        reviewers use, so the figures are reproducible
 set -eu
 cd "$(dirname "$0")"
 
@@ -135,5 +138,9 @@ for m in netstack.udp_sendto xsk.send_batch xsk.recv_views; do
 		exit 1
 	fi
 done
+
+echo "==> line counts: non-test Go outside bench/ and testdata/, then internal/netstack alone"
+find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | tail -1
+find ./internal/netstack -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | tail -1
 
 echo "ci: all checks passed"

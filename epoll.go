@@ -10,6 +10,7 @@ package rakis
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,11 +19,31 @@ import (
 	"rakis/internal/telemetry"
 )
 
-// repoll is an enclave-side epoll instance: the registered descriptors,
-// each stored as the poll source EpollWait hands to the aggregation.
+// repoll is an enclave-side epoll instance: the registered descriptors in
+// registration order (sets are small, and a map's iteration order would
+// make the order connections are served in differ run to run), each with
+// the poll source EpollWait hands to the aggregation.
 type repoll struct {
 	mu       sync.Mutex
-	interest map[int]sm.PollSource
+	fds      []int
+	interest []sm.PollSource // interest[i] watches fds[i]
+	// next is where the following wait starts reporting: just past the
+	// last descriptor of a wait that filled its events, so a short events
+	// slice cannot starve the tail of the set.
+	next int
+	// scratch is the copy of interest the last wait polled. A waiter
+	// takes it and puts it back; a concurrent one makes its own.
+	scratch []sm.PollSource
+}
+
+// drop removes fd, keeping the order of the rest. fds is rebuilt, never
+// shifted in place: a wait in flight reports from the slice it saw.
+// Caller holds ep.mu.
+func (ep *repoll) drop(fd int) {
+	if i := slices.Index(ep.fds, fd); i >= 0 {
+		ep.fds = slices.Delete(slices.Clone(ep.fds), i, i+1)
+		ep.interest = slices.Delete(ep.interest, i, i+1)
+	}
 }
 
 // ErrBadEpoll reports epoll ops on a non-epoll descriptor.
@@ -34,8 +55,7 @@ func (t *Thread) EpollCreate() (int, error) {
 	t.probe.Begin(telemetry.SpanEpollCreate)
 	defer t.probe.End()
 	t.hook()
-	ep := &repoll{interest: make(map[int]sm.PollSource)}
-	return t.rt.registerEntry(&entry{kind: kindEpoll, ep: ep}), nil
+	return t.rt.registerEntry(&entry{kind: kindEpoll, ep: &repoll{}}), nil
 }
 
 // EpollCtl updates interest in fd.
@@ -51,7 +71,7 @@ func (t *Thread) EpollCtl(epfd, op, fd int, events uint32) error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if op == sys.EpollCtlDel {
-		delete(ep.interest, fd)
+		ep.drop(fd)
 		return nil
 	}
 	target, ok := t.rt.lookup(fd)
@@ -72,11 +92,13 @@ func (t *Thread) EpollCtl(epfd, op, fd int, events uint32) error {
 	default:
 		return ErrBadEpoll
 	}
-	switch op {
-	case sys.EpollCtlAdd, sys.EpollCtlMod:
-		ep.interest[fd] = src
-	default:
+	if op != sys.EpollCtlAdd && op != sys.EpollCtlMod {
 		return errors.New("rakis: bad epoll op")
+	}
+	if i := slices.Index(ep.fds, fd); i >= 0 {
+		ep.interest[i] = src
+	} else {
+		ep.fds, ep.interest = append(ep.fds, fd), append(ep.interest, src)
 	}
 	return nil
 }
@@ -98,7 +120,7 @@ func (rt *Runtime) dropFromEpolls(fd int) {
 	rt.mu.Unlock()
 	for _, ep := range eps {
 		ep.mu.Lock()
-		delete(ep.interest, fd)
+		ep.drop(fd)
 		ep.mu.Unlock()
 	}
 }
@@ -115,29 +137,27 @@ func (t *Thread) EpollWait(epfd int, events []sys.EpollEvent, timeout time.Durat
 	}
 	ep := e.ep
 	ep.mu.Lock()
-	srcs := make([]sm.PollSource, 0, len(ep.interest))
-	fds := make([]int, 0, len(ep.interest))
-	for fd, src := range ep.interest {
-		srcs = append(srcs, src)
-		fds = append(fds, fd)
-	}
+	fds, start := ep.fds, ep.next
+	srcs := append(ep.scratch[:0], ep.interest...)
+	ep.scratch = nil
 	ep.mu.Unlock()
 
 	clk := t.lt.Clock()
-	n, err := sm.PollCached(srcs, timeout, t.proxy, t.rt.cfg.Model, clk, t.pollCache)
-	if err != nil {
+	if _, err := sm.PollCached(srcs, timeout, t.proxy, t.rt.cfg.Model, clk, t.pollCache); err != nil {
 		return 0, err
 	}
-	out := 0
-	for i := range srcs {
-		if out == len(events) {
-			break
-		}
+	out, next := 0, 0
+	for k := 0; k < len(srcs) && out < len(events); k++ {
+		i := (start + k) % len(srcs)
 		if srcs[i].Revents != 0 {
 			events[out] = sys.EpollEvent{FD: fds[i], Events: srcs[i].Revents}
-			out++
+			if out++; out == len(events) {
+				next = i + 1
+			}
 		}
 	}
-	_ = n
+	ep.mu.Lock()
+	ep.next, ep.scratch = next, srcs
+	ep.mu.Unlock()
 	return out, nil
 }

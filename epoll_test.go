@@ -76,6 +76,73 @@ func TestEpollAllEnvironments(t *testing.T) {
 	}
 }
 
+// TestEpollReadyOrderIsDeterministic: with eight descriptors ready, every
+// wait reports them in registration order — in the enclave epoll and in
+// the host kernel's — so which connection an epoll server serves first is
+// not a coin flip; and when events is shorter than the ready set, the
+// next wait carries on after the last descriptor reported, so the tail of
+// the set is served before the head is served twice.
+func TestEpollReadyOrderIsDeterministic(t *testing.T) {
+	for _, env := range []experiments.Environment{experiments.Native, experiments.RakisSGX} {
+		t.Run(env.String(), func(t *testing.T) {
+			w := newWorld(t, env, nil)
+			srv, err := w.ServerThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			epfd, err := srv.EpollCreate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cli := w.ClientThread()
+			cfd, _ := cli.Socket(sys.UDP)
+			const nfds = 8
+			var fds [nfds]int
+			for i := range fds {
+				fds[i], _ = srv.Socket(sys.UDP)
+				if err := srv.Bind(fds[i], uint16(7300+i)); err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.EpollCtl(epfd, sys.EpollCtlAdd, fds[i], sys.PollIn); err != nil {
+					t.Fatal(err)
+				}
+				cli.SendTo(cfd, []byte("ready"), sys.Addr{IP: w.ServerIP, Port: uint16(7300 + i)})
+			}
+			evs := make([]sys.EpollEvent, 2*nfds)
+			deadline := time.Now().Add(5 * time.Second)
+			for n := 0; n < nfds; {
+				if n, _ = srv.EpollWait(epfd, evs, 10*time.Millisecond); time.Now().After(deadline) {
+					t.Fatalf("only %d of %d descriptors became ready", n, nfds)
+				}
+			}
+			for round := 0; round < 20; round++ {
+				n, err := srv.EpollWait(epfd, evs, 0)
+				if err != nil || n != nfds {
+					t.Fatalf("wait %d = %d, %v", round, n, err)
+				}
+				for i := range fds {
+					if evs[i].FD != fds[i] {
+						t.Fatalf("wait %d reported %+v, want registration order %v", round, evs[:n], fds)
+					}
+				}
+			}
+			// Three waits of three cover all eight: 0-2, 3-5, 6-7 and 0.
+			want := []int{0, 1, 2, 3, 4, 5, 6, 7, 0}
+			for round := 0; round < 3; round++ {
+				n, err := srv.EpollWait(epfd, evs[:3], 0)
+				if err != nil || n != 3 {
+					t.Fatalf("short wait %d = %d, %v", round, n, err)
+				}
+				for i, ev := range evs[:3] {
+					if ev.FD != fds[want[3*round+i]] {
+						t.Fatalf("short wait %d reported %+v, want to resume after the last fd reported", round, evs[:3])
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestEpollMixedProvidersUnderRakis(t *testing.T) {
 	// One epoll instance spanning an enclave UDP socket and a host TCP
 	// connection — the cross-provider scenario of §4.2, now with epoll

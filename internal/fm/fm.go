@@ -343,42 +343,34 @@ func (u *UringFM) step(ld *submitLadder, clk *vtime.Clock) bool {
 	return true
 }
 
-// submitRetry submits one SQE, riding out a full iSub on the ladder.
-func (u *UringFM) submitRetry(e iouring.SQE, clk *vtime.Clock) (uint64, error) {
+// submitRun is the one submission loop: it offers es to iSub, re-offering
+// the unsubmitted tail on the ladder when the ring is (or fills) full,
+// with the tokens landing in the caller's storage. It returns how far
+// the run got; the error is non-nil only when the ladder gave up
+// (ErrFull) or a non-retryable error struck.
+func (u *UringFM) submitRun(es []iouring.SQE, tokens []uint64, clk *vtime.Clock) (int, error) {
 	ld := submitLadder{backoff: 20 * time.Microsecond}
-	for {
-		tok, err := u.ring.Submit(e, clk)
-		if err == nil || !errors.Is(err, iouring.ErrFull) || !u.step(&ld, clk) {
-			return tok, err
-		}
-	}
-}
-
-// submitRetryN is the vectored form of submitRetry: it pushes the whole
-// batch through SubmitN, re-offering the unsubmitted tail on the same
-// ladder when the ring fills mid-batch. It returns the tokens for the
-// submitted prefix; the error is non-nil only when the ladder gave up
-// (ErrFull) or a non-retryable error struck, in which case len(tokens)
-// tells the caller how far the batch got.
-func (u *UringFM) submitRetryN(es []iouring.SQE, clk *vtime.Clock) ([]uint64, error) {
-	if len(es) == 0 {
-		return nil, nil
-	}
-	tokens := make([]uint64, 0, len(es))
-	ld := submitLadder{backoff: 20 * time.Microsecond}
-	for {
-		got, err := u.ring.SubmitN(es[len(tokens):], clk)
-		tokens = append(tokens, got...)
-		if len(tokens) == len(es) {
-			return tokens, nil
+	done := 0
+	for done < len(es) {
+		n, err := u.ring.SubmitN(es[done:], tokens[done:], clk)
+		if done += n; done == len(es) {
+			break
 		}
 		if err != nil && !errors.Is(err, iouring.ErrFull) {
-			return tokens, err
+			return done, err
 		}
 		if !u.step(&ld, clk) {
-			return tokens, iouring.ErrFull
+			return done, iouring.ErrFull
 		}
 	}
+	return done, nil
+}
+
+// submitRetry submits one SQE: submitRun at width one, on stack arrays.
+func (u *UringFM) submitRetry(e iouring.SQE, clk *vtime.Clock) (uint64, error) {
+	es, tok := [1]iouring.SQE{e}, [1]uint64{}
+	_, err := u.submitRun(es[:], tok[:], clk)
+	return tok[0], err
 }
 
 // submitWait is the synchronous submit-then-wait core.
@@ -400,17 +392,33 @@ func (u *UringFM) bounceView(n int) ([]byte, error) {
 	return u.space.Bytes(mem.RoleEnclave, u.bounce, uint64(n))
 }
 
-// ReadAt reads into trusted p through the bounce buffer. off == CursorOff
-// reads at the file cursor.
-func (u *UringFM) ReadAt(fd int, p []byte, off uint64, clk *vtime.Clock) (int, error) {
+// ErrNoProgress reports a completion that claims success for a
+// non-empty send yet moved no byte: retrying it could spin forever.
+var ErrNoProgress = errors.New("fm: send made no progress")
+
+// transfer is the one loop behind ReadAt, WriteAt, Send and Recv: it moves
+// trusted p through the bounce buffer a chunk at a time — for the
+// outbound ops (write, send) the chunk is copied out before submission,
+// for the inbound ones (read, recv) the validated result is copied in
+// after completion — advancing a file offset unless it is CursorOff. A
+// count short of the chunk ends the transfer (end of file, a full disk,
+// the bytes a stream had ready), except that a stream send resumes with
+// the rest for as long as each completion makes progress.
+func (u *UringFM) transfer(op iouring.Op, fd int, p []byte, off uint64, clk *vtime.Clock) (int, error) {
+	out := op == iouring.OpWrite || op == iouring.OpSend
 	total := 0
 	for len(p) > 0 {
-		chunk := len(p)
-		if chunk > u.bounceLen {
-			chunk = u.bounceLen
+		chunk := min(len(p), u.bounceLen)
+		if out {
+			dst, err := u.bounceView(chunk)
+			if err != nil {
+				return total, err
+			}
+			copy(dst, p[:chunk])
+			u.copied(chunk, 0, clk)
 		}
 		res, err := u.submitWait(iouring.SQE{
-			Op: iouring.OpRead, FD: int32(fd), Off: off,
+			Op: op, FD: int32(fd), Off: off,
 			Addr: u.bounce, Len: uint32(chunk),
 		}, clk)
 		if err != nil {
@@ -420,7 +428,7 @@ func (u *UringFM) ReadAt(fd int, p []byte, off uint64, clk *vtime.Clock) (int, e
 			return total, Errno(res)
 		}
 		n := int(res)
-		if n > 0 {
+		if !out && n > 0 {
 			src, err := u.bounceView(n)
 			if err != nil {
 				return total, err
@@ -429,45 +437,10 @@ func (u *UringFM) ReadAt(fd int, p []byte, off uint64, clk *vtime.Clock) (int, e
 			u.copied(n, 1, clk)
 		}
 		total += n
-		if n < chunk {
-			break // EOF
+		if op == iouring.OpSend && n == 0 {
+			return total, ErrNoProgress
 		}
-		p = p[n:]
-		if off != CursorOff {
-			off += uint64(n)
-		}
-	}
-	return total, nil
-}
-
-// WriteAt writes trusted p through the bounce buffer. off == CursorOff
-// writes at the file cursor.
-func (u *UringFM) WriteAt(fd int, p []byte, off uint64, clk *vtime.Clock) (int, error) {
-	total := 0
-	for len(p) > 0 {
-		chunk := len(p)
-		if chunk > u.bounceLen {
-			chunk = u.bounceLen
-		}
-		dst, err := u.bounceView(chunk)
-		if err != nil {
-			return total, err
-		}
-		copy(dst, p[:chunk])
-		u.copied(chunk, 0, clk)
-		res, err := u.submitWait(iouring.SQE{
-			Op: iouring.OpWrite, FD: int32(fd), Off: off,
-			Addr: u.bounce, Len: uint32(chunk),
-		}, clk)
-		if err != nil {
-			return total, err
-		}
-		if res < 0 {
-			return total, Errno(res)
-		}
-		n := int(res)
-		total += n
-		if n < chunk {
+		if op != iouring.OpSend && n < chunk {
 			break
 		}
 		p = p[n:]
@@ -478,62 +451,29 @@ func (u *UringFM) WriteAt(fd int, p []byte, off uint64, clk *vtime.Clock) (int, 
 	return total, nil
 }
 
-// Send transmits trusted p on a kernel TCP socket.
-func (u *UringFM) Send(fd int, p []byte, clk *vtime.Clock) (int, error) {
-	total := 0
-	for len(p) > 0 {
-		chunk := len(p)
-		if chunk > u.bounceLen {
-			chunk = u.bounceLen
-		}
-		dst, err := u.bounceView(chunk)
-		if err != nil {
-			return total, err
-		}
-		copy(dst, p[:chunk])
-		u.copied(chunk, 0, clk)
-		res, err := u.submitWait(iouring.SQE{
-			Op: iouring.OpSend, FD: int32(fd),
-			Addr: u.bounce, Len: uint32(chunk),
-		}, clk)
-		if err != nil {
-			return total, err
-		}
-		if res < 0 {
-			return total, Errno(res)
-		}
-		total += int(res)
-		p = p[res:]
-	}
-	return total, nil
+// ReadAt reads into trusted p through the bounce buffer. off == CursorOff
+// reads at the file cursor.
+func (u *UringFM) ReadAt(fd int, p []byte, off uint64, clk *vtime.Clock) (int, error) {
+	return u.transfer(iouring.OpRead, fd, p, off, clk)
 }
 
-// Recv receives into trusted p from a kernel TCP socket.
+// WriteAt writes trusted p through the bounce buffer. off == CursorOff
+// writes at the file cursor.
+func (u *UringFM) WriteAt(fd int, p []byte, off uint64, clk *vtime.Clock) (int, error) {
+	return u.transfer(iouring.OpWrite, fd, p, off, clk)
+}
+
+// Send transmits all of trusted p on a kernel TCP socket, or reports how
+// much went out with the error that stopped it. A stream is always at
+// its cursor.
+func (u *UringFM) Send(fd int, p []byte, clk *vtime.Clock) (int, error) {
+	return u.transfer(iouring.OpSend, fd, p, CursorOff, clk)
+}
+
+// Recv receives into trusted p from a kernel TCP socket: one pass, so a
+// buffer wider than the bounce never waits for a second chunk.
 func (u *UringFM) Recv(fd int, p []byte, clk *vtime.Clock) (int, error) {
-	chunk := len(p)
-	if chunk > u.bounceLen {
-		chunk = u.bounceLen
-	}
-	res, err := u.submitWait(iouring.SQE{
-		Op: iouring.OpRecv, FD: int32(fd),
-		Addr: u.bounce, Len: uint32(chunk),
-	}, clk)
-	if err != nil {
-		return 0, err
-	}
-	if res < 0 {
-		return 0, Errno(res)
-	}
-	n := int(res)
-	if n > 0 {
-		src, err := u.bounceView(n)
-		if err != nil {
-			return 0, err
-		}
-		copy(p, src[:n])
-		u.copied(n, 1, clk)
-	}
-	return n, nil
+	return u.transfer(iouring.OpRecv, fd, p[:min(len(p), u.bounceLen)], CursorOff, clk)
 }
 
 // Fsync flushes a file.
@@ -562,13 +502,20 @@ type PollReq struct {
 // SubmitPollN arms asynchronous polls for every request in one batched
 // submission run (one producer publish, at most one MM wakeup) and
 // returns their tokens in request order. Partial arming surfaces as a
-// short token slice plus the error that stopped it.
+// short token slice plus the error that stopped it. It is the FM's one
+// vectored entry, so it is what counts a batch call.
 func (u *UringFM) SubmitPollN(reqs []PollReq, clk *vtime.Clock) ([]uint64, error) {
 	es := make([]iouring.SQE, len(reqs))
 	for i, q := range reqs {
 		es[i] = iouring.SQE{Op: iouring.OpPollAdd, FD: int32(q.FD), OpFlags: q.Events}
 	}
-	return u.submitRetryN(es, clk)
+	tokens := make([]uint64, len(es))
+	n, err := u.submitRun(es, tokens, clk)
+	if c := u.ring.Counters(); c != nil && n > 0 {
+		c.BatchCalls.Add(1)
+		c.BatchedMsgs.Add(uint64(n))
+	}
+	return tokens[:n], err
 }
 
 // TryPoll checks an armed poll without blocking.

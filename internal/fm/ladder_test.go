@@ -1,6 +1,7 @@
 package fm
 
-// Boundary tests for the submitRetry/submitRetryN backoff ladder: a full
+// Boundary tests for the submitRun backoff ladder, through its scalar
+// (submitRetry) and vectored (SubmitPollN) callers: a full
 // iSub at every rung, the escalation trigger on each retry, the give-up
 // path after submitRetryMax rungs, mid-ladder recovery when the kernel
 // consumer frees the ring, and vectored partial success. The "kernel" is
@@ -186,11 +187,7 @@ func TestSubmitRetryKicksWhenMMDead(t *testing.T) {
 // alongside ErrFull.
 func TestSubmitRetryNPartialGiveUp(t *testing.T) {
 	f := newLadderFixture(t, 8)
-	es := make([]iouring.SQE, 12)
-	for i := range es {
-		es[i] = iouring.SQE{Op: iouring.OpNop}
-	}
-	tokens, err := f.u.submitRetryN(es, &f.clk)
+	tokens, err := f.u.SubmitPollN(make([]PollReq, 12), &f.clk)
 	if !errors.Is(err, iouring.ErrFull) {
 		t.Fatalf("want ErrFull for the unsubmittable tail, got %v", err)
 	}
@@ -221,11 +218,7 @@ func TestSubmitRetryNRecoversTail(t *testing.T) {
 			f.consume(t, 8)
 		}
 	}})
-	es := make([]iouring.SQE, 12)
-	for i := range es {
-		es[i] = iouring.SQE{Op: iouring.OpNop}
-	}
-	tokens, err := f.u.submitRetryN(es, &f.clk)
+	tokens, err := f.u.SubmitPollN(make([]PollReq, 12), &f.clk)
 	if err != nil {
 		t.Fatalf("batch did not land after recovery: %v", err)
 	}
@@ -239,9 +232,10 @@ func TestSubmitRetryNRecoversTail(t *testing.T) {
 	if avail, _ := f.kSub.Available(); avail != 4 {
 		t.Fatalf("kernel sees %d pending, want 4", avail)
 	}
-	// Exactly two batch publishes (the prefix run and the tail run).
-	if got := f.ctr.BatchCalls.Load(); got != 2 {
-		t.Fatalf("BatchCalls = %d, want 2", got)
+	// One vectored call, however many ring passes it took (two here: the
+	// prefix run and the tail run).
+	if got := f.ctr.BatchCalls.Load(); got != 1 {
+		t.Fatalf("BatchCalls = %d, want 1", got)
 	}
 	if got := f.ctr.BatchedMsgs.Load(); got != 12 {
 		t.Fatalf("BatchedMsgs = %d, want 12", got)
@@ -257,17 +251,91 @@ func TestSubmitRetryNNonRetryableError(t *testing.T) {
 		t.Fatal(err)
 	}
 	es := []iouring.SQE{{Op: iouring.OpRead, Addr: trusted, Len: 64}}
-	tokens, err := f.u.submitRetryN(es, &f.clk)
+	var tokens [1]uint64
+	n, err := f.u.submitRun(es, tokens[:], &f.clk)
 	if !errors.Is(err, iouring.ErrBufferPlacement) {
 		t.Fatalf("want ErrBufferPlacement, got %v", err)
 	}
-	if len(tokens) != 0 {
-		t.Fatalf("tokens for a rejected batch: %v", tokens)
+	if n != 0 || tokens[0] != 0 {
+		t.Fatalf("a rejected batch submitted %d, tokens %v", n, tokens)
 	}
 	if got := f.ctr.SubmitRetries.Load(); got != 0 {
 		t.Fatalf("retried a non-retryable error %d times", got)
 	}
 	if f.nudge != 0 {
 		t.Fatal("escalated on a non-retryable error")
+	}
+}
+
+// serve runs a stub kernel side until the test ends: it retires each SQE
+// the FM submits, appends the first res bytes of the SQE's buffer to the
+// returned sink — what a kernel that accepted res bytes would have taken
+// — and completes it with the next scripted result (the last one, once
+// the script runs out).
+func (f *ladderFixture) serve(t *testing.T, script ...int32) *[]byte {
+	t.Helper()
+	sink := new([]byte)
+	stop, done := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(stop); <-done })
+	go func() {
+		defer close(done)
+		for i := 0; ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if avail, _ := f.kSub.Available(); avail == 0 {
+				time.Sleep(20 * time.Microsecond)
+				continue
+			}
+			slot, _ := f.kSub.SlotBytes(0)
+			sqe := iouring.GetSQE(slot)
+			f.kSub.Release(1)
+			res := script[min(i, len(script)-1)]
+			i++
+			if res > 0 {
+				buf, _ := f.sp.Bytes(mem.RoleHost, sqe.Addr, uint64(res))
+				*sink = append(*sink, buf...)
+			}
+			cslot, _ := f.kCpl.SlotBytes(0)
+			iouring.PutCQE(cslot, iouring.CQE{UserData: sqe.UserData, Res: res})
+			f.kCpl.Submit(1, 0)
+		}
+	}()
+	return sink
+}
+
+// TestSendResumesAfterShortCount: a stream send the kernel takes in
+// pieces goes out whole, each resubmission carrying exactly the rest.
+func TestSendResumesAfterShortCount(t *testing.T) {
+	f := newLadderFixture(t, 8)
+	sink := f.serve(t, 40, 25, 35)
+	p := make([]byte, 100)
+	for i := range p {
+		p[i] = byte(i)
+	}
+	n, err := f.u.Send(5, p, &f.clk)
+	if n != len(p) || err != nil {
+		t.Fatalf("Send = %d, %v, want %d, nil", n, err, len(p))
+	}
+	if string(*sink) != string(p) {
+		t.Fatalf("the kernel took %x, want the payload in order", *sink)
+	}
+}
+
+// TestSendStopsOnZeroByteCompletion: a zero-byte completion for a
+// non-empty send is plausible to the ring (0 <= res <= Len) and moves
+// nothing; resubmitting the same bytes for ever is what a hostile or
+// wedged kernel would like. Send reports the short count with an error.
+func TestSendStopsOnZeroByteCompletion(t *testing.T) {
+	f := newLadderFixture(t, 8)
+	f.serve(t, 40, 0)
+	n, err := f.u.Send(5, make([]byte, 100), &f.clk)
+	if n != 40 || !errors.Is(err, ErrNoProgress) {
+		t.Fatalf("Send = %d, %v, want 40, ErrNoProgress", n, err)
+	}
+	if got := f.ctr.IoUringOps.Load(); got != 2 {
+		t.Fatalf("submitted %d sends, want 2 (no resubmission after the zero)", got)
 	}
 }

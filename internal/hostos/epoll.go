@@ -1,6 +1,7 @@
 package hostos
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -26,16 +27,22 @@ type EpollEvent struct {
 	Events uint32
 }
 
-// epollObj is the kernel object behind an epoll descriptor.
+// epollObj is the kernel object behind an epoll descriptor. Interest is
+// kept in registration order (sets are small; a map's iteration order
+// would make the ready list differ run to run).
 type epollObj struct {
 	mu       sync.Mutex
-	interest map[int]uint32
+	interest []PollFD // FD and Events; Revents unused
+	// next is where the following wait starts scanning: just past the
+	// last descriptor reported by a wait that filled its events, so a
+	// short events slice cannot starve the tail of the set.
+	next int
 }
 
 // EpollCreate installs an epoll instance and returns its descriptor.
 func (p *Proc) EpollCreate(clk *vtime.Clock) (int, error) {
 	p.enter(clk)
-	return p.kern.installFD(&epollObj{interest: make(map[int]uint32)}), nil
+	return p.kern.installFD(&epollObj{}), nil
 }
 
 // EpollCtl adds, removes, or modifies interest in fd.
@@ -54,11 +61,18 @@ func (p *Proc) EpollCtl(epfd, op, fd int, events uint32, clk *vtime.Clock) error
 	}
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
+	i := slices.IndexFunc(ep.interest, func(in PollFD) bool { return in.FD == fd })
 	switch op {
 	case EpollCtlAdd, EpollCtlMod:
-		ep.interest[fd] = events
+		if i < 0 {
+			ep.interest = append(ep.interest, PollFD{FD: fd, Events: events})
+		} else {
+			ep.interest[i].Events = events
+		}
 	case EpollCtlDel:
-		delete(ep.interest, fd)
+		if i >= 0 {
+			ep.interest = slices.Delete(ep.interest, i, i+1)
+		}
 	default:
 		return ErrInval
 	}
@@ -85,14 +99,16 @@ func (p *Proc) EpollWait(epfd int, events []EpollEvent, timeout time.Duration, c
 	for {
 		n := 0
 		ep.mu.Lock()
-		for fd, want := range ep.interest {
-			if n == len(events) {
-				break
-			}
-			re := p.readiness(fd, want)
-			if re != 0 {
-				events[n] = EpollEvent{FD: fd, Events: re}
-				n++
+		start := ep.next
+		ep.next = 0
+		for k := 0; k < len(ep.interest) && n < len(events); k++ {
+			i := (start + k) % len(ep.interest)
+			in := ep.interest[i]
+			if re := p.readiness(in.FD, in.Events); re != 0 {
+				events[n] = EpollEvent{FD: in.FD, Events: re}
+				if n++; n == len(events) {
+					ep.next = i + 1
+				}
 			}
 		}
 		ep.mu.Unlock()

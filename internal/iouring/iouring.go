@@ -368,17 +368,15 @@ func (r *Ring) placed(es []SQE) error {
 	return nil
 }
 
-// Submit places one request on iSub: a run of one on stack arrays. The
-// returned token identifies the request's completion. The Monitor Module
-// notices the producer advance and issues io_uring_enter on the FM's
-// behalf. Scalar submissions are not batch calls and leave the
-// BatchCalls/BatchedMsgs counters alone.
+// Submit places one request on iSub: SubmitN at width one, on stack
+// arrays. The returned token identifies the request's completion. The
+// Monitor Module notices the producer advance and issues io_uring_enter
+// on the FM's behalf.
 func (r *Ring) Submit(e SQE, clk *vtime.Clock) (uint64, error) {
-	es := [1]SQE{e}
+	es, tok := [1]SQE{e}, [1]uint64{}
 	if err := r.placed(es[:]); err != nil {
 		return 0, err
 	}
-	var tok [1]uint64
 	_, err := r.submit(es[:], tok[:], clk)
 	return tok[0], err
 }
@@ -387,35 +385,26 @@ func (r *Ring) Submit(e SQE, clk *vtime.Clock) (uint64, error) {
 // placement is validated first, then one certified read of the free
 // count sizes the batch and a single producer-index publish exposes all
 // entries at once — so the Monitor Module sees one producer advance and
-// the whole batch costs at most one io_uring_enter wakeup.
+// the whole batch costs at most one io_uring_enter wakeup. Tokens for
+// the submitted prefix land in tokens (len(tokens) >= len(es)), which
+// the caller owns.
 //
-// Partial success follows sendmmsg conventions: the returned tokens
-// cover the prefix that fit; an error is reported only when nothing
-// could be submitted.
-func (r *Ring) SubmitN(es []SQE, clk *vtime.Clock) ([]uint64, error) {
-	if len(es) == 0 {
-		return nil, nil
-	}
+// Partial success follows sendmmsg conventions: it returns how many
+// leading requests fit; the error is non-nil only when none did. The
+// BatchCalls/BatchedMsgs counters are the vectored caller's to bump
+// (UringFM.SubmitPollN): a scalar submission is not a batch call.
+func (r *Ring) SubmitN(es []SQE, tokens []uint64, clk *vtime.Clock) (int, error) {
 	if err := r.placed(es); err != nil {
-		return nil, err
+		return 0, err
 	}
-	tokens := make([]uint64, len(es))
-	n, err := r.submit(es, tokens, clk)
-	if n == 0 {
-		return nil, err
-	}
-	if r.counters != nil {
-		r.counters.BatchCalls.Add(1)
-		r.counters.BatchedMsgs.Add(uint64(n))
-	}
-	return tokens[:n], nil
+	return r.submit(es, tokens, clk)
 }
 
-// submit is the one submission body: it sizes the run against the
-// certified free count, writes the SQEs, records them as outstanding and
-// publishes the producer index once. Tokens for the submitted prefix
-// land in tokens (len(tokens) >= len(es)); the error is non-nil only
-// when nothing was submitted. Callers have validated buffer placement.
+// submit is the one submission body, behind both exported entries (each
+// validates buffer placement first, where the boundarycopy analyzer can
+// see it): it sizes the run against the certified free count, writes the
+// SQEs, records them as outstanding and publishes the producer index
+// once.
 func (r *Ring) submit(es []SQE, tokens []uint64, clk *vtime.Clock) (int, error) {
 	free, _ := r.Sub.Free()
 	if free == 0 {

@@ -82,13 +82,13 @@ func hostileFrames() map[string][]byte {
 
 	// TCP: a SYN whose data offset points past the segment, a
 	// SYN|FIN|RST combination, and a blind RST at the listening port.
-	badOff := marshalTCP(peer, self, tcpSeg{srcPort: 5555, dstPort: 4243, seq: 1, flags: flagSYN, wnd: 1024})
+	badOff := marshalTCP(peer, self, tcpSeg{srcPort: 5555, dstPort: 4243, seq: 1, flags: TCPFlagSYN, wnd: 1024})
 	badOff[12] = 0xF0 // data offset = 15 words
 	frames["tcp-dataoff-past-end"] = ip(IPv4Header{Proto: ProtoTCP}, badOff)
 	frames["tcp-syn-fin-rst"] = ip(IPv4Header{Proto: ProtoTCP},
-		marshalTCP(peer, self, tcpSeg{srcPort: 5555, dstPort: 4243, seq: 1, flags: flagSYN | flagFIN | flagRST, wnd: 1024}))
+		marshalTCP(peer, self, tcpSeg{srcPort: 5555, dstPort: 4243, seq: 1, flags: TCPFlagSYN | TCPFlagFIN | TCPFlagRST, wnd: 1024}))
 	frames["tcp-blind-rst"] = ip(IPv4Header{Proto: ProtoTCP},
-		marshalTCP(peer, self, tcpSeg{srcPort: 5555, dstPort: 4243, seq: 0xDEAD, flags: flagRST}))
+		marshalTCP(peer, self, tcpSeg{srcPort: 5555, dstPort: 4243, seq: 0xDEAD, flags: TCPFlagRST}))
 
 	// UDP with a length field lying in both directions.
 	zeroLen := make([]byte, UDPHeaderBytes+4)

@@ -98,7 +98,7 @@ func takeFrames(l *capLink) [][]byte {
 	for _, f := range frames {
 		if _, ipPkt, err := ParseEth(f); err == nil {
 			if h, l4, err := ParseIPv4(ipPkt); err == nil && h.Proto == ProtoTCP &&
-				len(l4) >= TCPHeaderBytes && l4[13]&flagSYN != 0 {
+				len(l4) >= TCPHeaderBytes && l4[13]&TCPFlagSYN != 0 {
 				copy(l4[4:8], []byte{0, 0, 0, 0})
 				copy(l4[16:18], []byte{0, 0})
 			}

@@ -170,7 +170,7 @@ func emitFrames(t testing.TB) []emitted {
 	seg := tcpSeg{srcPort: c.local.Port, dstPort: c.remote.Port, seq: c.sndNxt, ack: c.rcvNxt, wnd: rcvBufCap}
 	for _, n := range []int{1, 63, 64, 65, 1399, 1400, MSS} {
 		data := seg
-		data.flags, data.payload = flagACK|flagPSH, encoderPayload(n)
+		data.flags, data.payload = TCPFlagACK|TCPFlagPSH, encoderPayload(n)
 		record(fmt.Sprintf("tcp-data-%d", n), ProtoTCP, func() []byte { return refTCP(self.IP, peer.IP, data) }, func() {
 			c.mu.Lock()
 			c.sendSegLocked(tcpSeg{flags: data.flags, seq: data.seq, ack: data.ack, payload: data.payload}, &clk)
@@ -178,7 +178,7 @@ func emitFrames(t testing.TB) []emitted {
 		})
 	}
 	ack := seg
-	ack.flags = flagACK
+	ack.flags = TCPFlagACK
 	record("tcp-pure-ack", ProtoTCP, func() []byte { return refTCP(self.IP, peer.IP, ack) }, func() {
 		c.mu.Lock()
 		c.sendAckLocked(&clk)
@@ -194,17 +194,17 @@ func emitFrames(t testing.TB) []emitted {
 		return refEth(EthHeader{Dst: devMAC, Src: peerMAC, Type: EtherTypeIPv4},
 			refIPv4(IPv4Header{TTL: 64, Proto: ProtoTCP, Src: peer.IP, Dst: self.IP}, refTCP(peer.IP, self.IP, in)))
 	}
-	syn := tcpSeg{srcPort: 3333, dstPort: 7000, seq: 0x5000, flags: flagSYN, wnd: 4096}
+	syn := tcpSeg{srcPort: 3333, dstPort: 7000, seq: 0x5000, flags: TCPFlagSYN, wnd: 4096}
 	key := connKey{remoteIP: peer.IP, remotePort: syn.srcPort, localPort: syn.dstPort}
 	synAck := tcpSeg{srcPort: 7000, dstPort: 3333, seq: s.tcp.cookieISS(key), ack: syn.seq + 1,
-		flags: flagSYN | flagACK, wnd: rcvBufCap}
+		flags: TCPFlagSYN | TCPFlagACK, wnd: rcvBufCap}
 	record("tcp-cookie-synack", ProtoTCP, func() []byte { return refTCP(self.IP, peer.IP, synAck) },
 		func() { s.Input(from(syn), &clk) })
 	if got := s.tcp.cookieISS(key); got != synAck.seq {
 		t.Skipf("the cookie epoch ticked mid-test (%#x → %#x)", synAck.seq, got)
 	}
-	stray := tcpSeg{srcPort: 3334, dstPort: 7001, seq: 0x6000, ack: 0x7000, flags: flagACK, wnd: 4096}
-	rst := tcpSeg{srcPort: 7001, dstPort: 3334, seq: stray.ack, ack: stray.seq, flags: flagRST}
+	stray := tcpSeg{srcPort: 3334, dstPort: 7001, seq: 0x6000, ack: 0x7000, flags: TCPFlagACK, wnd: 4096}
+	rst := tcpSeg{srcPort: 7001, dstPort: 3334, seq: stray.ack, ack: stray.seq, flags: TCPFlagRST}
 	record("tcp-rst", ProtoTCP, func() []byte { return refTCP(self.IP, peer.IP, rst) },
 		func() { s.Input(from(stray), &clk) })
 	return out
@@ -239,8 +239,8 @@ func TestMarshalWrappersMatchChain(t *testing.T) {
 	src, dst := IP4{10, 0, 0, 1}, IP4{10, 0, 0, 2}
 	for _, n := range []int{0, 1, 64, 1399} {
 		p := encoderPayload(n)
-		seg := tcpSeg{srcPort: 1, dstPort: 2, seq: 3, ack: 4, flags: flagACK | flagPSH, wnd: 5, payload: p}
-		if got, want := MarshalTCP(src, dst, 1, 2, 3, 4, flagACK|flagPSH, 5, p), refTCP(src, dst, seg); !bytes.Equal(got, want) {
+		seg := tcpSeg{srcPort: 1, dstPort: 2, seq: 3, ack: 4, flags: TCPFlagACK | TCPFlagPSH, wnd: 5, payload: p}
+		if got, want := MarshalTCP(src, dst, 1, 2, 3, 4, TCPFlagACK|TCPFlagPSH, 5, p), refTCP(src, dst, seg); !bytes.Equal(got, want) {
 			t.Errorf("MarshalTCP(%d bytes):\n got  %x\n want %x", n, got, want)
 		}
 		for _, h := range []IPv4Header{
@@ -273,7 +273,7 @@ func TestTCPSendAllocatesNothing(t *testing.T) {
 	var clk vtime.Clock
 	if n := testing.AllocsPerRun(200, func() {
 		c.mu.Lock()
-		c.sendSegLocked(tcpSeg{flags: flagACK | flagPSH, seq: c.sndNxt, ack: c.rcvNxt, payload: payload}, &clk)
+		c.sendSegLocked(tcpSeg{flags: TCPFlagACK | TCPFlagPSH, seq: c.sndNxt, ack: c.rcvNxt, payload: payload}, &clk)
 		c.sendAckLocked(&clk)
 		c.mu.Unlock()
 	}); n != 0 && !raceDetectorEnabled {

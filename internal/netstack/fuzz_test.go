@@ -84,7 +84,7 @@ func FuzzStackInput(f *testing.F) {
 	f.Add(MarshalEth(EthHeader{Dst: Broadcast, Src: peerMAC, Type: EtherTypeARP},
 		marshalARP(arpPacket{op: arpOpRequest, sha: peerMAC, spa: peer, tpa: self})))
 
-	syn := marshalTCP(peer, self, tcpSeg{srcPort: 5555, dstPort: 4243, seq: 100, flags: flagSYN, wnd: 65535})
+	syn := marshalTCP(peer, self, tcpSeg{srcPort: 5555, dstPort: 4243, seq: 100, flags: TCPFlagSYN, wnd: 65535})
 	f.Add(MarshalEth(EthHeader{Dst: mac, Src: peerMAC, Type: EtherTypeIPv4},
 		MarshalIPv4(IPv4Header{TTL: 64, Proto: ProtoTCP, Src: peer, Dst: self}, syn)))
 
@@ -111,10 +111,10 @@ func FuzzStackInput(f *testing.F) {
 // pre-established connection, bypassing checksums so mutations explore
 // state transitions rather than dying in validation.
 func FuzzSegArrives(f *testing.F) {
-	f.Add(uint32(1), uint32(1), byte(flagACK), uint16(1024), []byte("data"))
-	f.Add(uint32(0), uint32(0), byte(flagSYN|flagACK), uint16(0), []byte{})
-	f.Add(uint32(5), uint32(2), byte(flagFIN|flagACK), uint16(65535), []byte{1})
-	f.Add(uint32(9), uint32(9), byte(flagRST), uint16(9), []byte{})
+	f.Add(uint32(1), uint32(1), byte(TCPFlagACK), uint16(1024), []byte("data"))
+	f.Add(uint32(0), uint32(0), byte(TCPFlagSYN|TCPFlagACK), uint16(0), []byte{})
+	f.Add(uint32(5), uint32(2), byte(TCPFlagFIN|TCPFlagACK), uint16(65535), []byte{1})
+	f.Add(uint32(9), uint32(9), byte(TCPFlagRST), uint16(9), []byte{})
 
 	f.Fuzz(func(t *testing.T, seq, ack uint32, flags byte, wnd uint16, payload []byte) {
 		s, _ := fuzzStack(false)

@@ -13,11 +13,14 @@
 //     ICMP handling, keeping the enclave attack surface minimal.
 //
 // Concurrency follows §4.2's implementation note: instead of one global
-// stack lock, shared state uses fine-grained per-socket and per-table
-// locks, and the demux is sharded per RSS queue (hash.go is the one
+// stack lock, shared state uses fine-grained locks, and what the packet
+// path touches is partitioned per RSS queue (hash.go is the one
 // definition of the flow hash and of the frame parser that feeds it).
-// The retired global-lock ablation's last measurement is recorded in
-// EXPERIMENTS.md.
+// Every binding lives in exactly one map: a UDP port or TCP listener in
+// a copy-on-write portMap the packet path reads without a lock, a TCP
+// connection in its home shard's tcpShard; the other per-shard state
+// (socket receive queues, timer sets) holds per-flow order, not copies.
+// The retired global-lock ablation's last measurement is in EXPERIMENTS.md.
 //
 //rakis:role enclave
 package netstack

@@ -211,7 +211,7 @@ func TestTCPSegmentRoundTrip(t *testing.T) {
 	seg := tcpSeg{
 		srcPort: 40000, dstPort: 6379,
 		seq: 0xDEADBEEF, ack: 0xFEEDFACE,
-		flags: flagACK | flagPSH, wnd: 65535,
+		flags: TCPFlagACK | TCPFlagPSH, wnd: 65535,
 		payload: []byte("PING\r\n"),
 	}
 	b := marshalTCP(src, dst, seg)

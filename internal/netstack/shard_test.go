@@ -12,9 +12,9 @@ import (
 	"rakis/internal/vtime"
 )
 
-// These tests exercise the sharded UDP demux directly — the per-shard
-// replica maps, per-socket shard queues, and the MPMC receiver protocol
-// — under the race detector, across shard widths 1..64. They drive
+// These tests exercise the sharded UDP demux directly — the lock-free
+// copy-on-write port map, per-socket shard queues, and the MPMC receiver
+// protocol — under the race detector, across shard widths 1..64. They drive
 // inputUDP straight (no device, no rings) so the only moving parts are
 // the demux data structures themselves.
 
@@ -190,8 +190,8 @@ func TestShardDemuxMPMC(t *testing.T) {
 
 // TestShardRebindDifferentShard closes a bound port and rebinds it, then
 // delivers through a different shard than the first socket ever used:
-// the rebind must be visible in every shard replica, and nothing from
-// the old socket may linger.
+// the one port map every shard reads must show the rebind, and nothing
+// from the old socket may linger.
 func TestShardRebindDifferentShard(t *testing.T) {
 	const width = 8
 	s := newShardStack(t, width)
@@ -206,19 +206,15 @@ func TestShardRebindDifferentShard(t *testing.T) {
 		t.Fatalf("first socket recv: %v", err)
 	}
 	first.Close()
-	for sh := 0; sh < width; sh++ {
-		if s.lookupUDPShard(7, sh) != nil {
-			t.Fatalf("shard %d replica still maps port 7 after close", sh)
-		}
+	if s.udp.ports.lookup(7) != nil {
+		t.Fatal("port 7 still bound after close")
 	}
 	second, err := s.UDPBind(7)
 	if err != nil {
 		t.Fatalf("rebind after close: %v", err)
 	}
-	for sh := 0; sh < width; sh++ {
-		if s.lookupUDPShard(7, sh) != second {
-			t.Fatalf("shard %d replica does not map the rebound socket", sh)
-		}
+	if s.udp.ports.lookup(7) != second {
+		t.Fatal("port 7 does not map the rebound socket")
 	}
 	// Deliver through a different shard than the first socket ever saw.
 	src5 := shardFlow(t, s, IP4{10, 9, 0, 103}, 7, 5)
@@ -268,10 +264,47 @@ func TestShardPortCollision(t *testing.T) {
 		t.Fatalf("%d concurrent binds won port 4242, want exactly 1", wins.Load())
 	}
 	w := <-winners
-	for sh := 0; sh < s.Shards(); sh++ {
-		if s.lookupUDPShard(4242, sh) != w {
-			t.Fatalf("shard %d replica disagrees about port 4242's owner", sh)
+	if s.udp.ports.lookup(4242) != w {
+		t.Fatal("the port map disagrees about port 4242's owner")
+	}
+}
+
+// TestPortMapBindCloseLeavesNothing: the copy-on-write port map is the
+// one record of a binding, so a thousand binds and closes leave it empty
+// (nothing lingers in a superseded copy a reader could still find), a
+// lookup on the packet path costs no heap object, and a stack shut down
+// through closeAll refuses further binds.
+func TestPortMapBindCloseLeavesNothing(t *testing.T) {
+	s := newShardStack(t, 8)
+	socks := make([]*UDPSocket, 1000)
+	for i := range socks {
+		var err error
+		if socks[i], err = s.UDPBind(uint16(10000 + i)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if n := len(s.udp.ports.load()); n != len(socks) {
+		t.Fatalf("%d ports bound, want %d", n, len(socks))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if s.udp.ports.lookup(10500) != socks[500] || s.udp.ports.lookup(9) != nil {
+			t.Fatal("lookup disagrees with the binds")
+		}
+	}); n != 0 {
+		t.Fatalf("a demux lookup allocates %v objects, want 0", n)
+	}
+	for _, sock := range socks[:len(socks)-1] {
+		sock.Close()
+	}
+	if m := s.udp.ports.load(); len(m) != 1 || m[10999] != socks[999] {
+		t.Fatalf("after closing all but the last socket the map holds %d ports", len(m))
+	}
+	s.Close() // closeAll closes the last one
+	if n := len(s.udp.ports.load()); n != 0 {
+		t.Fatalf("%d ports still bound after shutdown", n)
+	}
+	if _, err := s.UDPBind(10000); !errors.Is(err, ErrClosed) {
+		t.Fatalf("bind after shutdown = %v, want ErrClosed", err)
 	}
 }
 

@@ -39,11 +39,12 @@ type Config struct {
 	// kernel-stack hop for the full build, the trimmed-stack hop for the
 	// enclave build). Zero selects the model's KernelNetPerPacket.
 	PerPacketCost uint64
-	// Shards partitions the UDP demux tables and per-socket receive
-	// queues per RSS queue: InputShard(i) traffic only ever touches
-	// shard i's demux replica and shard i's queue of each socket, so N
-	// pump threads share no hot-path lock. Shard selection must agree
-	// with the RSS steering hash (FlowHash) — the stack trusts the
+	// Shards partitions the per-socket receive queues, the TCP
+	// connection tables and the TCP timer sets per RSS queue:
+	// InputShard(i) traffic only ever locks shard i's queue of a socket
+	// and shard i's connections, so N pump threads share no hot-path
+	// lock (the port tables take none at all). Shard selection must
+	// agree with the RSS steering hash (FlowHash) — the stack trusts the
 	// caller's shard index. Zero or one selects the classic single-shard
 	// layout (the kernel stack stays there).
 	Shards int
@@ -61,9 +62,8 @@ type Stack struct {
 	arp   *arpTable
 	reasm *reassembler
 
-	udp    *udpTable
-	tcp    *tcpTable
-	splice spliceTable
+	udp *udpTable
+	tcp *tcpTable
 
 	ipID   atomic.Uint32
 	closed atomic.Bool
@@ -104,7 +104,7 @@ func New(cfg Config) (*Stack, error) {
 		ip:    cfg.IP,
 		arp:   newARPTable(cfg.StaticARP),
 		reasm: newReassembler(),
-		udp:   newUDPTable(cfg.Shards),
+		udp:   &udpTable{ephemeral: 32768},
 	}
 	s.txRuns.New = func() any { return new(txRun) }
 	if cfg.EnableTCP {
@@ -117,7 +117,7 @@ func New(cfg Config) (*Stack, error) {
 func (s *Stack) IP() IP4 { return s.ip }
 
 // Shards returns the demux shard count.
-func (s *Stack) Shards() int { return len(s.udp.demux) }
+func (s *Stack) Shards() int { return s.cfg.Shards }
 
 // Model returns the stack's cost model.
 func (s *Stack) Model() *vtime.Model { return s.model }
@@ -140,10 +140,10 @@ func (s *Stack) Input(frame []byte, clk *vtime.Clock) {
 	s.InputShard(frame, clk, 0)
 }
 
-// InputShard feeds one received Ethernet frame into the stack through
-// the given demux shard. The caller (an FM pump bound to one XSK queue)
-// guarantees the frame was RSS-steered to that queue, so every lock the
-// demux takes belongs to this shard alone.
+// InputShard feeds one received Ethernet frame into the stack on the
+// given shard. The caller (an FM pump bound to one XSK queue) guarantees
+// the frame was RSS-steered to that queue, so every lock the demux takes
+// belongs to this shard alone.
 func (s *Stack) InputShard(frame []byte, clk *vtime.Clock, shard int) {
 	if s.closed.Load() {
 		return

@@ -104,7 +104,6 @@ func (t *tcpTable) acceptCookie(l *TCPSocket, key connKey, seg tcpSeg, clk *vtim
 	}
 
 	c := newTCPSocket(t)
-	c.key = key
 	c.local = Addr{IP: t.stack.ip, Port: key.localPort}
 	c.remote = Addr{IP: key.remoteIP, Port: key.remotePort}
 	// Reconstruct the state the SYN|ACK implied: our ISS was the cookie,
@@ -113,7 +112,7 @@ func (t *tcpTable) acceptCookie(l *TCPSocket, key connKey, seg tcpSeg, clk *vtim
 	c.rcvNxt = seg.seq
 	c.sndWnd = uint32(seg.wnd)
 	c.state = stateEstablished
-	if err := t.register(key, c); err != nil {
+	if !t.register(key, c) {
 		// A concurrent ACK (duplicate or retransmitted) won the race and
 		// registered the connection; this copy carries nothing new.
 		return
@@ -140,7 +139,7 @@ func (t *tcpTable) acceptCookie(l *TCPSocket, key connKey, seg tcpSeg, clk *vtim
 	// The ACK may carry ride-along data (TCP fast open is out of scope,
 	// but a client that pipelines its first request with the handshake
 	// ACK is normal); run it through the ordinary segment processor.
-	if len(seg.payload) > 0 || seg.flags&flagFIN != 0 {
+	if len(seg.payload) > 0 || seg.flags&TCPFlagFIN != 0 {
 		c.segArrives(seg, clk)
 	}
 }

@@ -43,13 +43,15 @@ const (
 	connectTimeout = 5 * time.Second
 )
 
-// TCP flags.
+// TCP flag bits, exported for frame-building tools outside the package
+// (the chaos harness's SYN-flood generator builds hostile segments with
+// MarshalTCP).
 const (
-	flagFIN = 1 << 0
-	flagSYN = 1 << 1
-	flagRST = 1 << 2
-	flagPSH = 1 << 3
-	flagACK = 1 << 4
+	TCPFlagFIN = 1 << 0
+	TCPFlagSYN = 1 << 1
+	TCPFlagRST = 1 << 2
+	TCPFlagPSH = 1 << 3
+	TCPFlagACK = 1 << 4
 )
 
 // tcpState is the connection state machine.
@@ -137,17 +139,6 @@ func putTCPHeader(b []byte, s tcpSeg) {
 	put32(b[16:20], 0) // checksum (sealL4 fills it), urgent pointer
 }
 
-// TCP flag bits, exported for frame-building tools outside the package
-// (the chaos harness's SYN-flood generator builds hostile segments with
-// MarshalTCP).
-const (
-	TCPFlagFIN = flagFIN
-	TCPFlagSYN = flagSYN
-	TCPFlagRST = flagRST
-	TCPFlagPSH = flagPSH
-	TCPFlagACK = flagACK
-)
-
 // MarshalTCP assembles a checksummed TCP segment (no options) in a fresh
 // buffer.
 func MarshalTCP(src, dst IP4, srcPort, dstPort uint16, seq, ack uint32, flags byte, wnd uint16, payload []byte) []byte {
@@ -165,16 +156,16 @@ type connKey struct {
 	localPort  uint16
 }
 
-// tcpShard is one demux replica: the connection and listener maps one FM
-// pump reads on its own RSS shard. Connections are published only to
-// their flow's home shard (RSS consistency means every segment of the
-// flow arrives there); listeners fan out to all shards, since SYNs carry
-// any flow identity.
+// tcpShard holds the connections whose flows hash home to one RSS shard —
+// the only place a connection is stored. RSS consistency means every
+// segment of a flow arrives on its home shard, so the FM pump of that
+// shard is the lock's only hot-path taker; homeShard is a pure function of
+// the key, so the cold paths (duplicate check, ephemeral-port search,
+// shutdown, stats) find the same shard without a second table.
 type tcpShard struct {
-	mu        sync.RWMutex
-	conns     map[connKey]*TCPSocket
-	listeners map[uint16]*TCPSocket
-	_         [32]byte // keep neighbouring shard locks off one cache line
+	mu    sync.RWMutex
+	conns map[connKey]*TCPSocket
+	_     [32]byte // keep neighbouring shard locks off one cache line
 }
 
 // tcpTimerShard is one shard's retransmission timer wheel. Deadlines
@@ -235,20 +226,22 @@ func (ts *tcpTimerShard) expire(now time.Time) []*TCPSocket {
 // the same nanosecond (tests boot many worlds back to back).
 var tcpSecretSalt atomic.Uint64
 
-// tcpTable holds connections and listeners.
+// tcpTable holds connections and listeners, each in exactly one place:
+// a connection in its home shard's map, a listener — which a SYN of any
+// flow identity must find — in the copy-on-write listeners map every
+// shard reads without a lock.
 type tcpTable struct {
 	stack   *Stack
 	cookies bool
 
-	// mu guards the authoritative maps (bind-time bookkeeping). The hot
-	// path never takes it: segment demux reads the per-shard replicas.
-	mu        sync.RWMutex
-	conns     map[connKey]*TCPSocket
-	listeners map[uint16]*TCPSocket
+	// mu serialises listener binds and the ephemeral-port counter. The
+	// hot path never takes it.
+	mu        sync.Mutex
+	listeners portMap[*TCPSocket]
 	ephemeral uint16
 	issBase   atomic.Uint32
 
-	demux  []tcpShard
+	shards []tcpShard
 	timers []tcpTimerShard
 
 	cookieSecret [2]uint32
@@ -259,23 +252,17 @@ type tcpTable struct {
 }
 
 func newTCPTable(s *Stack, shards int, cookies bool) *tcpTable {
-	if shards < 1 {
-		shards = 1
-	}
 	t := &tcpTable{
 		stack:     s,
 		cookies:   cookies,
-		conns:     make(map[connKey]*TCPSocket),
-		listeners: make(map[uint16]*TCPSocket),
 		ephemeral: 40000,
-		demux:     make([]tcpShard, shards),
+		shards:    make([]tcpShard, shards),
 		timers:    make([]tcpTimerShard, shards),
 		tickStop:  make(chan struct{}),
 		tickDone:  make(chan struct{}),
 	}
-	for i := range t.demux {
-		t.demux[i].conns = make(map[connKey]*TCPSocket)
-		t.demux[i].listeners = make(map[uint16]*TCPSocket)
+	for i := range t.shards {
+		t.shards[i].conns = make(map[connKey]*TCPSocket)
 		t.timers[i].due = make(map[*TCPSocket]time.Time)
 	}
 	// A lightly keyed cookie secret: the simulation needs distinct,
@@ -291,46 +278,7 @@ func newTCPTable(s *Stack, shards int, cookies bool) *tcpTable {
 // on: the single FlowHash invariant, applied to the remote→local tuple
 // exactly as the kernel's RX steering applies it.
 func (t *tcpTable) homeShard(key connKey) int {
-	return RXShard(key.remoteIP, t.stack.ip, key.remotePort, key.localPort, len(t.demux))
-}
-
-// publishConn installs a registered connection in its home shard's
-// replica.
-func (t *tcpTable) publishConn(key connKey, c *TCPSocket) {
-	d := &t.demux[c.shard]
-	d.mu.Lock()
-	d.conns[key] = c
-	d.mu.Unlock()
-}
-
-func (t *tcpTable) retractConn(key connKey, c *TCPSocket) {
-	d := &t.demux[c.shard]
-	d.mu.Lock()
-	if d.conns[key] == c {
-		delete(d.conns, key)
-	}
-	d.mu.Unlock()
-}
-
-// publishListener fans a listener out to every shard replica.
-func (t *tcpTable) publishListener(port uint16, l *TCPSocket) {
-	for i := range t.demux {
-		d := &t.demux[i]
-		d.mu.Lock()
-		d.listeners[port] = l
-		d.mu.Unlock()
-	}
-}
-
-func (t *tcpTable) retractListener(port uint16, l *TCPSocket) {
-	for i := range t.demux {
-		d := &t.demux[i]
-		d.mu.Lock()
-		if d.listeners[port] == l {
-			delete(d.listeners, port)
-		}
-		d.mu.Unlock()
-	}
+	return RXShard(key.remoteIP, t.stack.ip, key.remotePort, key.localPort, len(t.shards))
 }
 
 func (t *tcpTable) closeAll() {
@@ -338,15 +286,18 @@ func (t *tcpTable) closeAll() {
 		close(t.tickStop)
 		<-t.tickDone
 	}
-	t.mu.Lock()
 	var socks []*TCPSocket
-	for _, c := range t.conns {
-		socks = append(socks, c)
-	}
-	for _, l := range t.listeners {
+	for _, l := range t.listeners.load() {
 		socks = append(socks, l)
 	}
-	t.mu.Unlock()
+	for i := range t.shards {
+		d := &t.shards[i]
+		d.mu.RLock()
+		for _, c := range d.conns {
+			socks = append(socks, c)
+		}
+		d.mu.RUnlock()
+	}
 	for _, c := range socks {
 		c.abort(ErrClosed)
 	}
@@ -354,26 +305,29 @@ func (t *tcpTable) closeAll() {
 
 func (t *tcpTable) nextISS() uint32 { return t.issBase.Add(0x1000_1) * 31 }
 
-func (t *tcpTable) register(key connKey, c *TCPSocket) error {
-	t.mu.Lock()
-	if _, dup := t.conns[key]; dup {
-		t.mu.Unlock()
-		return fmt.Errorf("%w: tcp %v", ErrPortInUse, key)
+// register installs c under key in the key's home shard and reports
+// whether it did: false means the key already names a connection. The
+// check and the insert are one critical section, so of any number of
+// concurrent registrations for one 4-tuple exactly one wins.
+func (t *tcpTable) register(key connKey, c *TCPSocket) bool {
+	c.key, c.shard = key, t.homeShard(key)
+	d := &t.shards[c.shard]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, dup := d.conns[key]; dup {
+		return false
 	}
-	t.conns[key] = c
-	t.mu.Unlock()
-	c.shard = t.homeShard(key)
-	t.publishConn(key, c)
-	return nil
+	d.conns[key] = c
+	return true
 }
 
-func (t *tcpTable) deregister(key connKey, c *TCPSocket) {
-	t.mu.Lock()
-	if t.conns[key] == c {
-		delete(t.conns, key)
+func (t *tcpTable) deregister(c *TCPSocket) {
+	d := &t.shards[c.shard]
+	d.mu.Lock()
+	if d.conns[c.key] == c {
+		delete(d.conns, c.key)
 	}
-	t.mu.Unlock()
-	t.retractConn(key, c)
+	d.mu.Unlock()
 }
 
 // refuse counts one deterministic refusal (invalid cookie, full accept
@@ -449,9 +403,13 @@ func (s *Stack) TCPStats() TCPStats {
 		return TCPStats{}
 	}
 	t := s.tcp
-	t.mu.RLock()
-	st := TCPStats{Conns: len(t.conns), Listeners: len(t.listeners)}
-	t.mu.RUnlock()
+	st := TCPStats{Listeners: len(t.listeners.load())}
+	for i := range t.shards {
+		d := &t.shards[i]
+		d.mu.RLock()
+		st.Conns += len(d.conns)
+		d.mu.RUnlock()
+	}
 	if c := s.cfg.Counters; c != nil {
 		st.CookiesSent = c.TCPCookiesSent.Load()
 		st.CookiesAccepted = c.TCPCookiesAccepted.Load()
@@ -525,17 +483,15 @@ func (s *Stack) TCPListen(port uint16, backlog int) (*TCPSocket, error) {
 	}
 	t := s.tcp
 	t.mu.Lock()
-	if _, used := t.listeners[port]; used {
-		t.mu.Unlock()
+	defer t.mu.Unlock()
+	if t.listeners.lookup(port) != nil {
 		return nil, fmt.Errorf("%w: tcp/%d", ErrPortInUse, port)
 	}
 	l := newTCPSocket(t)
 	l.state = stateListen
 	l.local = Addr{IP: s.ip, Port: port}
 	l.backlog = make(chan *TCPSocket, backlog)
-	t.listeners[port] = l
-	t.mu.Unlock()
-	t.publishListener(port, l)
+	t.listeners.put(port, l)
 	return l, nil
 }
 
@@ -549,28 +505,22 @@ func (s *Stack) TCPConnect(dst Addr, clk *vtime.Clock) (*TCPSocket, error) {
 	c := newTCPSocket(t)
 	c.remote = dst
 
+	// Each candidate port is claimed in its own key's home shard.
 	t.mu.Lock()
 	var port uint16
-	var key connKey
-	for i := 0; i < 65536; i++ {
+	for i := 0; i < 65536 && port == 0; i++ {
 		t.ephemeral++
 		if t.ephemeral < 40000 {
 			t.ephemeral = 40000
 		}
-		key = connKey{dst.IP, dst.Port, t.ephemeral}
-		if _, used := t.conns[key]; !used {
+		if t.register(connKey{dst.IP, dst.Port, t.ephemeral}, c) {
 			port = t.ephemeral
-			c.key = key
-			t.conns[key] = c
-			break
 		}
 	}
 	t.mu.Unlock()
 	if port == 0 {
 		return nil, fmt.Errorf("%w: no ephemeral TCP ports", ErrPortInUse)
 	}
-	c.shard = t.homeShard(key)
-	t.publishConn(key, c)
 	c.local = Addr{IP: s.ip, Port: port}
 
 	c.mu.Lock()
@@ -578,7 +528,7 @@ func (s *Stack) TCPConnect(dst Addr, clk *vtime.Clock) (*TCPSocket, error) {
 	c.sndUna, c.sndNxt = iss, iss+1
 	c.state = stateSynSent
 	c.lastVTime.Store(clk.Now())
-	c.sendSegLocked(tcpSeg{flags: flagSYN, seq: iss}, clk)
+	c.sendSegLocked(tcpSeg{flags: TCPFlagSYN, seq: iss}, clk)
 	c.armRTOLocked()
 	ok := c.waitLocked(func() bool {
 		return c.state == stateEstablished || c.err != nil
@@ -589,7 +539,6 @@ func (s *Stack) TCPConnect(dst Addr, clk *vtime.Clock) (*TCPSocket, error) {
 
 	if err != nil || !ok || state != stateEstablished {
 		c.abort(nil)
-		t.deregister(c.key, c)
 		if err == nil {
 			err = ErrTimeout
 		}
@@ -606,19 +555,17 @@ func (l *TCPSocket) Accept(clk *vtime.Clock, block bool) (*TCPSocket, error) {
 		return nil, fmt.Errorf("netstack: accept on non-listener (%v)", l.state)
 	}
 	l.mu.Unlock()
-	if !block {
+	var c *TCPSocket
+	var ok bool
+	if block {
+		c, ok = <-l.backlog
+	} else {
 		select {
-		case c, ok := <-l.backlog:
-			if !ok {
-				return nil, ErrClosed
-			}
-			clk.Sync(c.stamp.Load())
-			return c, nil
+		case c, ok = <-l.backlog:
 		default:
 			return nil, ErrWouldBlock
 		}
 	}
-	c, ok := <-l.backlog
 	if !ok {
 		return nil, ErrClosed
 	}
@@ -628,7 +575,7 @@ func (l *TCPSocket) Accept(clk *vtime.Clock, block bool) (*TCPSocket, error) {
 
 // offerBacklog enqueues an established child on the listener's accept
 // queue. The push is serialized with the listener's own lock so it can
-// never race the close of the backlog channel in Close/abort; it
+// never race the close of the backlog channel in teardownLocked; it
 // reports false when the listener is closed or the queue is full —
 // both are the deterministic-refusal outcome for the caller.
 func (l *TCPSocket) offerBacklog(c *TCPSocket) bool {
@@ -759,24 +706,11 @@ func (c *TCPSocket) Close(clk *vtime.Clock) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch c.state {
-	case stateListen:
-		c.state = stateClosed
-		c.table.mu.Lock()
-		if c.table.listeners[c.local.Port] == c {
-			delete(c.table.listeners, c.local.Port)
-		}
-		c.table.mu.Unlock()
-		c.table.retractListener(c.local.Port, c)
-		if !c.deadDone {
-			c.deadDone = true
-			close(c.backlog)
-		}
-		return nil
 	case stateEstablished:
 		c.state = stateFinWait1
 	case stateCloseWait:
 		c.state = stateLastAck
-	case stateSynSent, stateSynRcvd:
+	case stateListen, stateSynSent, stateSynRcvd:
 		c.teardownLocked(nil)
 		return nil
 	default:
@@ -791,35 +725,33 @@ func (c *TCPSocket) Close(clk *vtime.Clock) error {
 func (c *TCPSocket) abort(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.state == stateListen {
-		c.state = stateClosed
-		c.table.mu.Lock()
-		if c.table.listeners[c.local.Port] == c {
-			delete(c.table.listeners, c.local.Port)
-		}
-		c.table.mu.Unlock()
-		c.table.retractListener(c.local.Port, c)
-		if !c.deadDone {
-			c.deadDone = true
-			close(c.backlog)
-		}
-		return
-	}
 	c.teardownLocked(err)
 }
 
-// teardownLocked finalizes the socket and removes it from the table.
+// teardownLocked is the one endpoint-teardown path: it finalizes the
+// socket and removes its binding — a listener's port, whose accept queue
+// it closes, or a connection's key and timer.
 func (c *TCPSocket) teardownLocked(err error) {
 	if c.state == stateClosed && c.deadDone {
 		return
 	}
 	c.state = stateClosed
 	c.deadDone = true
+	t := c.table
+	if c.backlog != nil { // a listener
+		t.mu.Lock()
+		if t.listeners.lookup(c.local.Port) == c {
+			t.listeners.put(c.local.Port, nil)
+		}
+		t.mu.Unlock()
+		close(c.backlog)
+		return
+	}
 	if err != nil && c.err == nil {
 		c.err = err
 	}
 	c.disarmRTOLocked()
-	c.table.deregister(c.key, c)
+	t.deregister(c)
 	c.cond.Broadcast()
 }
 
@@ -888,7 +820,7 @@ func (c *TCPSocket) sendSegLocked(seg tcpSeg, clk *vtime.Clock) {
 }
 
 func (c *TCPSocket) sendAckLocked(clk *vtime.Clock) {
-	c.sendSegLocked(tcpSeg{flags: flagACK, seq: c.sndNxt, ack: c.rcvNxt}, clk)
+	c.sendSegLocked(tcpSeg{flags: TCPFlagACK, seq: c.sndNxt, ack: c.rcvNxt}, clk)
 }
 
 // trySendLocked pushes as much buffered data as the peer window allows,
@@ -913,7 +845,7 @@ func (c *TCPSocket) trySendLocked(clk *vtime.Clock) {
 			}
 			off := inFlight
 			seg := tcpSeg{
-				flags:   flagACK | flagPSH,
+				flags:   TCPFlagACK | TCPFlagPSH,
 				seq:     c.sndNxt,
 				ack:     c.rcvNxt,
 				payload: c.sndBuf[off : off+n],
@@ -927,7 +859,7 @@ func (c *TCPSocket) trySendLocked(clk *vtime.Clock) {
 			c.finSeq = c.sndNxt
 			c.sndNxt++
 			c.finSent = true
-			c.sendSegLocked(tcpSeg{flags: flagFIN | flagACK, seq: c.finSeq, ack: c.rcvNxt}, clk)
+			c.sendSegLocked(tcpSeg{flags: TCPFlagFIN | TCPFlagACK, seq: c.finSeq, ack: c.rcvNxt}, clk)
 			c.armRTOLocked()
 		}
 		return
@@ -955,20 +887,20 @@ func (c *TCPSocket) onRTO(clk *vtime.Clock) {
 	}
 	switch {
 	case c.state == stateSynSent:
-		c.sendSegLocked(tcpSeg{flags: flagSYN, seq: c.sndUna}, clk)
+		c.sendSegLocked(tcpSeg{flags: TCPFlagSYN, seq: c.sndUna}, clk)
 	case c.state == stateSynRcvd:
-		c.sendSegLocked(tcpSeg{flags: flagSYN | flagACK, seq: c.sndUna, ack: c.rcvNxt}, clk)
+		c.sendSegLocked(tcpSeg{flags: TCPFlagSYN | TCPFlagACK, seq: c.sndUna, ack: c.rcvNxt}, clk)
 	case uint32(len(c.sndBuf)) > 0:
 		n := uint32(len(c.sndBuf))
 		if n > MSS {
 			n = MSS
 		}
 		c.sendSegLocked(tcpSeg{
-			flags: flagACK | flagPSH, seq: c.sndUna, ack: c.rcvNxt,
+			flags: TCPFlagACK | TCPFlagPSH, seq: c.sndUna, ack: c.rcvNxt,
 			payload: c.sndBuf[:n],
 		}, clk)
 	case c.finSent:
-		c.sendSegLocked(tcpSeg{flags: flagFIN | flagACK, seq: c.finSeq, ack: c.rcvNxt}, clk)
+		c.sendSegLocked(tcpSeg{flags: TCPFlagFIN | TCPFlagACK, seq: c.finSeq, ack: c.rcvNxt}, clk)
 	}
 	c.rtoD *= 2
 	if c.rtoD > rtoMax {
@@ -993,18 +925,18 @@ func (t *tcpTable) input(h IPv4Header, payload []byte, clk *vtime.Clock, shard i
 }
 
 // inputSeg demuxes one already-verified TCP segment through the given
-// shard's replica. The certify-in-place view path enters here directly
+// shard's connections and the lock-free listener map. The certify-in-place view path enters here directly
 // after its single-snapshot parse and single-pass checksum.
 func (t *tcpTable) inputSeg(src IP4, seg tcpSeg, clk *vtime.Clock, shard int, ethSrc *[6]byte) {
-	if shard < 0 || shard >= len(t.demux) {
+	if shard < 0 || shard >= len(t.shards) {
 		shard = 0
 	}
 	key := connKey{src, seg.srcPort, seg.dstPort}
-	d := &t.demux[shard]
+	d := &t.shards[shard]
 	d.mu.RLock()
 	c := d.conns[key]
-	l := d.listeners[seg.dstPort]
 	d.mu.RUnlock()
+	l := t.listeners.lookup(seg.dstPort)
 
 	clk.Charge(vtime.CompStack, t.stack.model.KernelTCPPerSegment)
 
@@ -1013,15 +945,15 @@ func (t *tcpTable) inputSeg(src IP4, seg tcpSeg, clk *vtime.Clock, shard int, et
 		c.segArrives(seg, clk)
 		return
 	}
-	if l != nil && seg.flags&flagSYN != 0 && seg.flags&flagACK == 0 {
+	if l != nil && seg.flags&TCPFlagSYN != 0 && seg.flags&TCPFlagACK == 0 {
 		t.handleSYN(l, key, seg, clk, ethSrc)
 		return
 	}
-	if t.cookies && l != nil && seg.flags&flagACK != 0 && seg.flags&(flagSYN|flagRST) == 0 {
+	if t.cookies && l != nil && seg.flags&TCPFlagACK != 0 && seg.flags&(TCPFlagSYN|TCPFlagRST) == 0 {
 		t.acceptCookie(l, key, seg, clk, ethSrc)
 		return
 	}
-	if seg.flags&flagRST == 0 {
+	if seg.flags&TCPFlagRST == 0 {
 		t.refuse()
 		t.sendRST(src, ethSrc, seg, clk)
 	}
@@ -1032,15 +964,15 @@ func (t *tcpTable) sendRST(dst IP4, ethSrc *[6]byte, in tcpSeg, clk *vtime.Clock
 	out := tcpSeg{
 		srcPort: in.dstPort,
 		dstPort: in.srcPort,
-		flags:   flagRST | flagACK,
+		flags:   TCPFlagRST | TCPFlagACK,
 		ack:     in.seq + uint32(len(in.payload)),
 	}
-	if in.flags&flagSYN != 0 {
+	if in.flags&TCPFlagSYN != 0 {
 		out.ack++
 	}
-	if in.flags&flagACK != 0 {
+	if in.flags&TCPFlagACK != 0 {
 		out.seq = in.ack
-		out.flags = flagRST
+		out.flags = TCPFlagRST
 	}
 	t.sendSegTo(dst, ethSrc, out, clk)
 }
@@ -1055,7 +987,7 @@ func (t *tcpTable) sendRST(dst IP4, ethSrc *[6]byte, in tcpSeg, clk *vtime.Clock
 func (t *tcpTable) sendSegTo(dst IP4, mac *[6]byte, seg tcpSeg, clk *vtime.Clock) {
 	var h [TCPHeaderBytes]byte
 	putTCPHeader(h[:], seg)
-	lane := TXShard(t.stack.ip, dst, seg.srcPort, seg.dstPort, len(t.demux))
+	lane := TXShard(t.stack.ip, dst, seg.srcPort, seg.dstPort, len(t.shards))
 	t.stack.sendRun(mac, lane, ProtoTCP, dst, h[:], [][]byte{seg.payload}, clk)
 }
 
@@ -1068,7 +1000,7 @@ func (t *tcpTable) handleSYN(l *TCPSocket, key connKey, seg tcpSeg, clk *vtime.C
 		out := tcpSeg{
 			srcPort: key.localPort,
 			dstPort: key.remotePort,
-			flags:   flagSYN | flagACK,
+			flags:   TCPFlagSYN | TCPFlagACK,
 			seq:     iss,
 			ack:     seg.seq + 1,
 			wnd:     rcvBufCap,
@@ -1081,7 +1013,6 @@ func (t *tcpTable) handleSYN(l *TCPSocket, key connKey, seg tcpSeg, clk *vtime.C
 	}
 	c := newTCPSocket(t)
 	c.parent = l
-	c.key = key
 	c.local = Addr{IP: t.stack.ip, Port: seg.dstPort}
 	c.remote = Addr{IP: key.remoteIP, Port: seg.srcPort}
 	c.rcvNxt = seg.seq + 1
@@ -1089,12 +1020,12 @@ func (t *tcpTable) handleSYN(l *TCPSocket, key connKey, seg tcpSeg, clk *vtime.C
 	c.sndUna, c.sndNxt = iss, iss+1
 	c.sndWnd = uint32(seg.wnd)
 	c.state = stateSynRcvd
-	if err := t.register(key, c); err != nil {
+	if !t.register(key, c) {
 		return // stale duplicate SYN
 	}
 	c.noteMAC(ethSrc)
 	c.mu.Lock()
-	c.sendSegLocked(tcpSeg{flags: flagSYN | flagACK, seq: iss, ack: c.rcvNxt}, clk)
+	c.sendSegLocked(tcpSeg{flags: TCPFlagSYN | TCPFlagACK, seq: iss, ack: c.rcvNxt}, clk)
 	c.armRTOLocked()
 	c.mu.Unlock()
 }
@@ -1104,7 +1035,7 @@ func (c *TCPSocket) segArrives(seg tcpSeg, clk *vtime.Clock) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	if seg.flags&flagRST != 0 {
+	if seg.flags&TCPFlagRST != 0 {
 		if c.state == stateSynSent && seg.ack != c.sndNxt {
 			return // blind RST with wrong ack
 		}
@@ -1119,7 +1050,7 @@ func (c *TCPSocket) segArrives(seg tcpSeg, clk *vtime.Clock) {
 	// Handshake progress.
 	switch c.state {
 	case stateSynSent:
-		if seg.flags&(flagSYN|flagACK) == flagSYN|flagACK && seg.ack == c.sndNxt {
+		if seg.flags&(TCPFlagSYN|TCPFlagACK) == TCPFlagSYN|TCPFlagACK && seg.ack == c.sndNxt {
 			c.rcvNxt = seg.seq + 1
 			c.sndUna = seg.ack
 			c.sndWnd = uint32(seg.wnd)
@@ -1131,7 +1062,7 @@ func (c *TCPSocket) segArrives(seg tcpSeg, clk *vtime.Clock) {
 		}
 		return
 	case stateSynRcvd:
-		if seg.flags&flagACK != 0 && seg.ack == c.sndNxt {
+		if seg.flags&TCPFlagACK != 0 && seg.ack == c.sndNxt {
 			c.sndUna = seg.ack
 			c.sndWnd = uint32(seg.wnd)
 			c.state = stateEstablished
@@ -1153,7 +1084,7 @@ func (c *TCPSocket) segArrives(seg tcpSeg, clk *vtime.Clock) {
 	}
 
 	// ACK processing.
-	if seg.flags&flagACK != 0 {
+	if seg.flags&TCPFlagACK != 0 {
 		acked := seg.ack - c.sndUna
 		inFlight := c.sndNxt - c.sndUna
 		if acked > 0 && acked <= inFlight {
@@ -1220,7 +1151,7 @@ func (c *TCPSocket) segArrives(seg tcpSeg, clk *vtime.Clock) {
 	}
 
 	// FIN processing.
-	if seg.flags&flagFIN != 0 && seq+uint32(len(data)) == c.rcvNxt || seg.flags&flagFIN != 0 && seg.seq == c.rcvNxt {
+	if seg.flags&TCPFlagFIN != 0 && seq+uint32(len(data)) == c.rcvNxt || seg.flags&TCPFlagFIN != 0 && seg.seq == c.rcvNxt {
 		if !c.rcvClosed {
 			c.rcvNxt++
 			c.rcvClosed = true

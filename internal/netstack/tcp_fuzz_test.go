@@ -126,71 +126,71 @@ func tcpHostileFrames() map[string][]byte {
 	// is the deterministic-refusal shape; a mutated ack field is exactly
 	// a cookie replay/forgery attempt.
 	frames["tcp-valid-syn"] = buildTCPFrame(peerIP, harnessIP,
-		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1000, flags: flagSYN, wnd: 4096})
+		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1000, flags: TCPFlagSYN, wnd: 4096})
 	frames["tcp-cookie-garbage-ack"] = buildTCPFrame(peerIP, harnessIP,
-		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1001, ack: 0xDEADBEEF, flags: flagACK, wnd: 4096})
+		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1001, ack: 0xDEADBEEF, flags: TCPFlagACK, wnd: 4096})
 	// A replayed third segment: same flow, same forged cookie, with
 	// ride-along data — the shape a replaying middlebox produces.
 	frames["tcp-cookie-replay"] = buildTCPFrame(peerIP, harnessIP,
 		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1001, ack: 0xDEADBEEF,
-			flags: flagACK | flagPSH, wnd: 4096, payload: []byte("GET replay")})
+			flags: TCPFlagACK | TCPFlagPSH, wnd: 4096, payload: []byte("GET replay")})
 
 	// Bad data offsets: zero (below the 20-byte minimum) and one pointing
 	// past the end of the segment.
 	frames["tcp-dataoff-zero"] = buildRawTCPFrame(peerIP, harnessIP,
-		rawTCPHeader(1111, fuzzTCPPort, 0x1000, 0, 0, flagSYN, nil), true)
+		rawTCPHeader(1111, fuzzTCPPort, 0x1000, 0, 0, TCPFlagSYN, nil), true)
 	frames["tcp-dataoff-past-end"] = buildRawTCPFrame(peerIP, harnessIP,
-		rawTCPHeader(1111, fuzzTCPPort, 0x1000, 0, 15, flagSYN, nil), true)
+		rawTCPHeader(1111, fuzzTCPPort, 0x1000, 0, 15, TCPFlagSYN, nil), true)
 
 	// Option-field overrun: data offset claims 8 words (12 option bytes)
 	// but only 4 option bytes follow the header — the option region runs
 	// past the segment end.
 	frames["tcp-options-overrun"] = buildRawTCPFrame(peerIP, harnessIP,
-		rawTCPHeader(1111, fuzzTCPPort, 0x1000, 0, 8, flagSYN, []byte{1, 1, 1, 0}), true)
+		rawTCPHeader(1111, fuzzTCPPort, 0x1000, 0, 8, TCPFlagSYN, []byte{1, 1, 1, 0}), true)
 	// Options within bounds: data offset 6, four NOP option bytes, then
 	// payload — the parse must skip options and take the payload after
 	// them, not from byte 20.
 	frames["tcp-options-valid"] = buildRawTCPFrame(peerIP, harnessIP,
-		rawTCPHeader(1111, fuzzTCPPort, 0x1000, 0, 6, flagSYN, []byte{1, 1, 1, 1}), true)
+		rawTCPHeader(1111, fuzzTCPPort, 0x1000, 0, 6, TCPFlagSYN, []byte{1, 1, 1, 1}), true)
 
 	// Illegal flag combination: SYN+FIN in one segment.
 	frames["tcp-syn-fin"] = buildTCPFrame(peerIP, harnessIP,
-		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1000, flags: flagSYN | flagFIN, wnd: 4096})
+		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1000, flags: TCPFlagSYN | TCPFlagFIN, wnd: 4096})
 
 	// Wrapped sequence number: data straddling the 2^32 boundary.
 	frames["tcp-wrapped-seq"] = buildTCPFrame(peerIP, harnessIP,
 		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0xFFFFFFF0, ack: 1,
-			flags: flagACK | flagPSH, wnd: 4096, payload: bytes.Repeat([]byte{0x55}, 32)})
+			flags: TCPFlagACK | TCPFlagPSH, wnd: 4096, payload: bytes.Repeat([]byte{0x55}, 32)})
 
 	// Checksum scribble: a valid segment whose checksum bytes the host
 	// flipped after building — the single-copy checksum must refuse it.
 	scribbled := buildTCPFrame(peerIP, harnessIP,
-		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1000, flags: flagSYN, wnd: 4096})
+		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1000, flags: TCPFlagSYN, wnd: 4096})
 	scribbled[EthHeaderBytes+IPv4HeaderBytes+16] ^= 0xFF
 	frames["tcp-bad-checksum"] = scribbled
 
 	// Truncated header: IP total length admits only 8 TCP bytes.
 	frames["tcp-truncated"] = buildRawTCPFrame(peerIP, harnessIP,
-		rawTCPHeader(1111, fuzzTCPPort, 0x1000, 0, 5, flagSYN, nil)[:8], false)
+		rawTCPHeader(1111, fuzzTCPPort, 0x1000, 0, 5, TCPFlagSYN, nil)[:8], false)
 
 	// Blind RST at a connection that does not exist.
 	frames["tcp-blind-rst"] = buildTCPFrame(peerIP, harnessIP,
-		tcpSeg{srcPort: 2222, dstPort: fuzzTCPPort, seq: 0x9999, flags: flagRST})
+		tcpSeg{srcPort: 2222, dstPort: fuzzTCPPort, seq: 0x9999, flags: TCPFlagRST})
 
 	// SYN at a closed port: the deterministic RST-refusal path.
 	frames["tcp-syn-closed-port"] = buildTCPFrame(peerIP, harnessIP,
-		tcpSeg{srcPort: 1111, dstPort: 9, seq: 0x1000, flags: flagSYN, wnd: 4096})
+		tcpSeg{srcPort: 1111, dstPort: 9, seq: 0x1000, flags: TCPFlagSYN, wnd: 4096})
 
 	// Data with no ACK flag aimed at the listener: matches no connection
 	// and is not a handshake segment.
 	frames["tcp-data-to-listener"] = buildTCPFrame(peerIP, harnessIP,
-		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1000, flags: flagPSH,
+		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1000, flags: TCPFlagPSH,
 			wnd: 4096, payload: []byte("no handshake")})
 
 	// IP options push the TCP header deep into the frame: ihl=15 (60-byte
 	// IP header), the farthest the header snapshot must reach.
 	tcpBytes := marshalTCP(peerIP, harnessIP,
-		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1000, flags: flagSYN, wnd: 4096})
+		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x1000, flags: TCPFlagSYN, wnd: 4096})
 	iph := make([]byte, 60)
 	iph[0] = 0x4F // version 4, ihl 15 words
 	put16(iph[2:4], uint16(60+len(tcpBytes)))
@@ -208,7 +208,7 @@ func tcpHostileFrames() map[string][]byte {
 
 	// Max length: the segment fills its 2048-byte UMem frame exactly.
 	frames["tcp-max-length"] = buildTCPFrame(peerIP, harnessIP,
-		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x2000, ack: 1, flags: flagACK, wnd: 4096,
+		tcpSeg{srcPort: 1111, dstPort: fuzzTCPPort, seq: 0x2000, ack: 1, flags: TCPFlagACK, wnd: 4096,
 			payload: bytes.Repeat([]byte{0xA5}, 2048-EthHeaderBytes-IPv4HeaderBytes-TCPHeaderBytes)})
 
 	return frames

@@ -1,7 +1,7 @@
 package netstack
 
-// The -race TCP shard suite: TCP connections demuxing through the same
-// RSS-sharded replicas the UDP battery covers, but with connection
+// The -race TCP shard suite: TCP connections demuxing through their
+// RSS home shards, as the UDP battery's datagrams do, but with connection
 // lifecycle on top — concurrent accept/close/rebind across shard widths
 // 1..64, cross-shard port collisions, retransmit-timer vs. close races
 // over a lossy wire, and the hostile-scribble certification test. The
@@ -183,10 +183,9 @@ func TestTCPShardWidths(t *testing.T) {
 	}
 }
 
-// TestTCPShardPortCollision pins global port ownership across shard
-// replicas: a port can be listened on exactly once no matter which
-// shard's replica a contender consults, and under concurrent contention
-// exactly one listen wins.
+// TestTCPShardPortCollision pins global port ownership across shards: a
+// port can be listened on exactly once, under concurrent contention
+// exactly one listen wins, and every shard finds the winner.
 func TestTCPShardPortCollision(t *testing.T) {
 	w := newTCPShardWorld(t, 8, 0)
 	l, err := w.server.TCPListen(7100, 4)
@@ -235,11 +234,71 @@ func TestTCPShardPortCollision(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		c, err := w.client.TCPConnect(Addr{w.serverIP, 7101}, &clk)
 		if err != nil {
-			t.Fatalf("connect %d through sharded replicas: %v", i, err)
+			t.Fatalf("connect %d across shards: %v", i, err)
 		}
 		c.Close(&clk)
 	}
 	lw.Close(nil)
+}
+
+// TestTCPDuplicateCookieACKsMintOneConnection: eight copies of one valid
+// cookie ACK arrive at once, one on each shard of a width-8 stack — the
+// home shard's own and seven a hostile host delivered on the wrong queue.
+// The connection lives only in its home shard's map, where the duplicate
+// check and the insert are one critical section: exactly one copy mints
+// state, and a reset through the home shard leaves nothing behind.
+func TestTCPDuplicateCookieACKsMintOneConnection(t *testing.T) {
+	const width = 8
+	s, err := New(Config{Name: "dup-ack", Dev: nullLink{}, IP: IP4{10, 3, 0, 2},
+		EnableTCP: true, TCPCookies: true, Shards: width})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	l, err := s.TCPListen(7400, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := connKey{IP4{10, 3, 0, 1}, 45000, 7400}
+	mac := [6]byte{2, 0, 0, 0, 3, 1}
+	ack := tcpSeg{srcPort: key.remotePort, dstPort: key.localPort, seq: 0x7001,
+		ack: s.tcp.cookieISS(key) + 1, flags: TCPFlagACK, wnd: rcvBufCap}
+	var wg sync.WaitGroup
+	for sh := 0; sh < width; sh++ {
+		wg.Add(1)
+		go func(sh int) {
+			defer wg.Done()
+			var clk vtime.Clock
+			s.tcp.inputSeg(key.remoteIP, ack, &clk, sh, &mac)
+		}(sh)
+	}
+	wg.Wait()
+	if st := s.TCPStats(); st.Conns != 1 {
+		t.Fatalf("after 8 duplicate cookie ACKs: %+v, want exactly one connection", st)
+	}
+	var clk vtime.Clock
+	c, err := l.Accept(&clk, false)
+	if err != nil {
+		t.Fatalf("no connection to accept: %v", err)
+	}
+	if c2, err := l.Accept(&clk, false); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("a second connection was queued for one 4-tuple: %v, %v", c2, err)
+	}
+	if home := s.tcp.homeShard(key); c.Shard() != home || s.tcp.shards[home].conns[key] != c {
+		t.Fatalf("connection on shard %d, home shard %d", c.Shard(), home)
+	}
+	// An established-flow segment finds the connection, and costs the
+	// demux no heap object.
+	if n := testing.AllocsPerRun(100, func() {
+		s.tcp.inputSeg(key.remoteIP, ack, &clk, c.Shard(), &mac)
+	}); n != 0 && !raceDetectorEnabled {
+		t.Fatalf("inputSeg on an established connection allocates %v objects, want 0", n)
+	}
+	rst := tcpSeg{srcPort: key.remotePort, dstPort: key.localPort, seq: 0x7001, flags: TCPFlagRST}
+	s.tcp.inputSeg(key.remoteIP, rst, &clk, c.Shard(), &mac)
+	if st := s.TCPStats(); st.Conns != 0 || c.State() != "CLOSED" {
+		t.Fatalf("after the reset: %+v, state %s, want no connection", st, c.State())
+	}
 }
 
 // TestTCPShardAcceptCloseRebindRace churns listeners while clients
@@ -400,7 +459,7 @@ func TestTCPViewScribbleRefusal(t *testing.T) {
 	var clk vtime.Clock
 
 	// Handshake, playing the client by hand: SYN in, cookie SYN|ACK out.
-	syn := tcpSeg{srcPort: 45000, dstPort: fuzzTCPPort, seq: 0x7000, flags: flagSYN, wnd: rcvBufCap}
+	syn := tcpSeg{srcPort: 45000, dstPort: fuzzTCPPort, seq: 0x7000, flags: TCPFlagSYN, wnd: rcvBufCap}
 	v, _ := h.mintView(t, buildTCPFrame(peerIP, harnessIP, syn))
 	h.stack.InputView(v, &clk)
 	h.link.mu.Lock()
@@ -412,12 +471,12 @@ func TestTCPViewScribbleRefusal(t *testing.T) {
 	h.link.frames = h.link.frames[:0]
 	h.link.mu.Unlock()
 	seg, ok := parseTCP(synack[EthHeaderBytes+IPv4HeaderBytes:])
-	if !ok || seg.flags&(flagSYN|flagACK) != flagSYN|flagACK {
+	if !ok || seg.flags&(TCPFlagSYN|TCPFlagACK) != TCPFlagSYN|TCPFlagACK {
 		t.Fatalf("reply is not a SYN|ACK: flags=%02x", seg.flags)
 	}
 	// Third segment: ACK the cookie; the connection is minted now.
 	ack := tcpSeg{srcPort: 45000, dstPort: fuzzTCPPort, seq: 0x7001, ack: seg.seq + 1,
-		flags: flagACK, wnd: rcvBufCap}
+		flags: TCPFlagACK, wnd: rcvBufCap}
 	v, _ = h.mintView(t, buildTCPFrame(peerIP, harnessIP, ack))
 	h.stack.InputView(v, &clk)
 	c, err := l.Accept(&clk, false)
@@ -429,7 +488,7 @@ func TestTCPViewScribbleRefusal(t *testing.T) {
 	// parse. The frozen header's checksum no longer covers the rewritten
 	// payload: deterministic refusal.
 	data := tcpSeg{srcPort: 45000, dstPort: fuzzTCPPort, seq: 0x7001, ack: seg.seq + 1,
-		flags: flagACK | flagPSH, wnd: rcvBufCap, payload: []byte("SET k honest-value")}
+		flags: TCPFlagACK | TCPFlagPSH, wnd: rcvBufCap, payload: []byte("SET k honest-value")}
 	frame := buildTCPFrame(peerIP, harnessIP, data)
 	v, idx := h.mintView(t, frame)
 	h.scribble(t, idx, EthHeaderBytes+IPv4HeaderBytes+TCPHeaderBytes, []byte("SET k EVIL"))

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -92,72 +93,53 @@ func (d *Datagram) Release() {
 	}
 }
 
-// udpTable holds the bound UDP sockets. The port→socket demux map is
-// replicated once per shard, each replica under its own RWMutex: a
-// shard's pump thread only ever touches its own replica, so the hot
-// demux path of one queue never bounces another queue's lock cache line
-// — the scale-out version of the paper's move away from a single global
-// stack lock. Bind-time bookkeeping (collision detection, the ephemeral
-// counter) lives under one cold global mutex and fans the entry into
-// every replica.
+// portMap is a copy-on-write port table, the one copy of a bind-rate
+// binding (UDP ports, splice registrations, TCP listeners). A lookup is
+// one atomic load and takes no lock, so the packet path of one shard
+// shares nothing writable with another's; put copies the map and
+// publishes the copy, and its callers serialise on their table's cold
+// mutex. The zero value is empty.
+type portMap[V comparable] struct{ cur atomic.Pointer[map[uint16]V] }
+
+func (m *portMap[V]) load() map[uint16]V {
+	if p := m.cur.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+func (m *portMap[V]) lookup(port uint16) V { return m.load()[port] }
+
+// put binds port to v in a fresh copy; the zero V (nil) unbinds it.
+func (m *portMap[V]) put(port uint16, v V) {
+	old := m.load()
+	next := make(map[uint16]V, len(old)+1)
+	maps.Copy(next, old)
+	var none V
+	if v != none {
+		next[port] = v
+	} else {
+		delete(next, port)
+	}
+	m.cur.Store(&next)
+}
+
+// udpTable holds the bound UDP sockets and the in-place echo
+// registrations, each in exactly one place. Binds and closes (collision
+// detection, the ephemeral counter) serialise on mu, which no data path
+// takes — the scale-out version of the paper's move away from a single
+// global stack lock.
 type udpTable struct {
 	mu        sync.Mutex
-	ports     map[uint16]*UDPSocket
+	ports     portMap[*UDPSocket]
+	splice    portMap[SpliceDevice]
 	ephemeral uint16
 	closed    bool
-
-	demux []demuxShard
-}
-
-// demuxShard is one shard's replica of the port→socket map. The padding
-// keeps neighbouring shards' locks off one cache line.
-type demuxShard struct {
-	mu    sync.RWMutex
-	ports map[uint16]*UDPSocket
-	_     [32]byte
-}
-
-func newUDPTable(shards int) *udpTable {
-	if shards < 1 {
-		shards = 1
-	}
-	t := &udpTable{ports: make(map[uint16]*UDPSocket), ephemeral: 32768}
-	t.demux = make([]demuxShard, shards)
-	for i := range t.demux {
-		t.demux[i].ports = make(map[uint16]*UDPSocket)
-	}
-	return t
-}
-
-// publish fans a bind into every shard replica. Caller holds t.mu.
-func (t *udpTable) publish(port uint16, sock *UDPSocket) {
-	for i := range t.demux {
-		d := &t.demux[i]
-		d.mu.Lock()
-		d.ports[port] = sock
-		d.mu.Unlock()
-	}
-}
-
-// retract removes sock's binding from every shard replica if it still
-// owns the port. Caller holds t.mu.
-func (t *udpTable) retract(port uint16, sock *UDPSocket) {
-	for i := range t.demux {
-		d := &t.demux[i]
-		d.mu.Lock()
-		if d.ports[port] == sock {
-			delete(d.ports, port)
-		}
-		d.mu.Unlock()
-	}
 }
 
 func (t *udpTable) closeAll() {
 	t.mu.Lock()
-	socks := make([]*UDPSocket, 0, len(t.ports))
-	for _, s := range t.ports {
-		socks = append(socks, s)
-	}
+	socks := t.ports.load()
 	t.closed = true
 	t.mu.Unlock()
 	for _, s := range socks {
@@ -223,7 +205,7 @@ func (s *Stack) UDPBind(port uint16) (*UDPSocket, error) {
 			if t.ephemeral < 32768 {
 				t.ephemeral = 32768
 			}
-			if _, used := t.ports[t.ephemeral]; !used {
+			if t.ports.lookup(t.ephemeral) == nil {
 				port = t.ephemeral
 				break
 			}
@@ -231,30 +213,18 @@ func (s *Stack) UDPBind(port uint16) (*UDPSocket, error) {
 		if port == 0 {
 			return nil, fmt.Errorf("%w: no ephemeral UDP ports", ErrPortInUse)
 		}
-	} else if _, used := t.ports[port]; used {
+	} else if t.ports.lookup(port) != nil {
 		return nil, fmt.Errorf("%w: udp/%d", ErrPortInUse, port)
 	}
 	sock := &UDPSocket{
 		stack:  s,
 		local:  Addr{IP: s.ip, Port: port},
-		shardQ: make([]sockQ, len(t.demux)),
+		shardQ: make([]sockQ, s.cfg.Shards),
 		wake:   make(chan struct{}, 1),
 		closeC: make(chan struct{}),
 	}
-	t.ports[port] = sock
-	t.publish(port, sock)
+	t.ports.put(port, sock)
 	return sock, nil
-}
-
-// lookupUDPShard finds the socket for a destination port through the
-// shard's own demux replica — the only lock the hot path touches, and
-// one no other shard's pump ever takes.
-func (s *Stack) lookupUDPShard(port uint16, shard int) *UDPSocket {
-	d := &s.udp.demux[shard]
-	d.mu.RLock()
-	sock := d.ports[port]
-	d.mu.RUnlock()
-	return sock
 }
 
 // udpHeader is a decoded UDP header.
@@ -291,7 +261,7 @@ func (s *Stack) inputUDP(h IPv4Header, payload, origPkt []byte, clk *vtime.Clock
 			return
 		}
 	}
-	sock := s.lookupUDPShard(uh.dstPort, shard)
+	sock := s.udp.ports.lookup(uh.dstPort)
 	if sock == nil {
 		s.sendPortUnreachable(h, origPkt, clk)
 		return
@@ -441,40 +411,27 @@ func (u *UDPSocket) Send(payload []byte, clk *vtime.Clock) error {
 // data arrives or the socket closes. The caller's clock is synced to the
 // datagram's arrival stamp (idle waiting costs no virtual busy time).
 func (u *UDPSocket) RecvFrom(clk *vtime.Clock, block bool) (Datagram, error) {
-	if d, ok := u.pop(); ok {
-		u.finishRecv(&d, clk)
-		return d, nil
-	}
-	if !block {
+	for {
+		if d, ok := u.pop(); ok {
+			clk.Sync(d.Stamp)
+			clk.Charge(vtime.CompStack, u.stack.model.SocketOp)
+			return d, nil
+		}
+		// Close sweeps the queues before it closes closeC, so a closed
+		// socket has nothing left to pop.
 		select {
 		case <-u.closeC:
 			return Datagram{}, ErrClosed
 		default:
 		}
-		return Datagram{}, ErrWouldBlock
-	}
-	for {
+		if !block {
+			return Datagram{}, ErrWouldBlock
+		}
 		select {
 		case <-u.wake:
-			if d, ok := u.pop(); ok {
-				u.finishRecv(&d, clk)
-				return d, nil
-			}
 		case <-u.closeC:
-			// Drain anything that raced with close.
-			if d, ok := u.pop(); ok {
-				u.finishRecv(&d, clk)
-				return d, nil
-			}
-			return Datagram{}, ErrClosed
 		}
 	}
-}
-
-func (u *UDPSocket) finishRecv(d *Datagram, clk *vtime.Clock) {
-	s := u.stack
-	clk.Sync(d.Stamp)
-	clk.Charge(vtime.CompStack, s.model.SocketOp)
 }
 
 // Readable reports whether a datagram is queued (poll support).
@@ -499,10 +456,9 @@ func (u *UDPSocket) Close() {
 	u.mu.Unlock()
 	t := u.stack.udp
 	t.mu.Lock()
-	if t.ports[u.local.Port] == u {
-		delete(t.ports, u.local.Port)
+	if t.ports.lookup(u.local.Port) == u {
+		t.ports.put(u.local.Port, nil)
 	}
-	t.retract(u.local.Port, u)
 	t.mu.Unlock()
 	// Flip closing before sweeping the shard queues: enqueuers observe
 	// it under the shard lock, so anything not drained here was never

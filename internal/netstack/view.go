@@ -1,8 +1,6 @@
 package netstack
 
 import (
-	"sync"
-
 	"rakis/internal/mem"
 	"rakis/internal/vtime"
 )
@@ -19,36 +17,15 @@ type SpliceDevice interface {
 	SpliceFrame(v *mem.View, n uint32, clk *vtime.Clock) error
 }
 
-// spliceTable maps UDP destination ports to splice devices for the
-// in-place echo path.
-type spliceTable struct {
-	mu    sync.RWMutex
-	ports map[uint16]SpliceDevice
-}
-
 // SpliceUDPEcho registers an in-place UDP echo on port: mainstream
 // datagrams addressed to it are reflected to their sender by rewriting
 // the frame header in place (MAC, IP, and port swaps — both checksums
 // survive 16-bit-aligned swaps unchanged) and re-queuing the RX frame on
 // TX with zero payload copies. Passing a nil device unregisters.
 func (s *Stack) SpliceUDPEcho(port uint16, dev SpliceDevice) {
-	s.splice.mu.Lock()
-	defer s.splice.mu.Unlock()
-	if s.splice.ports == nil {
-		s.splice.ports = make(map[uint16]SpliceDevice)
-	}
-	if dev == nil {
-		delete(s.splice.ports, port)
-		return
-	}
-	s.splice.ports[port] = dev
-}
-
-// spliceFor returns the splice device registered for port, if any.
-func (s *Stack) spliceFor(port uint16) SpliceDevice {
-	s.splice.mu.RLock()
-	defer s.splice.mu.RUnlock()
-	return s.splice.ports[port]
+	s.udp.mu.Lock()
+	defer s.udp.mu.Unlock()
+	s.udp.splice.put(port, dev)
 }
 
 // InputView feeds one received frame into the stack as a certified
@@ -64,10 +41,10 @@ func (s *Stack) InputView(v mem.View, clk *vtime.Clock) {
 	s.InputViewShard(v, clk, 0)
 }
 
-// InputViewShard is InputView through the given demux shard: the
-// in-place path demuxes via the shard's own table replica and queues on
-// the socket's shard queue, and the copying fallback stays on the same
-// shard — so a pump's frames never leave its shard however they parse.
+// InputViewShard is InputView on the given shard: the in-place path
+// queues on the socket's shard queue (or looks the connection up in the
+// shard's table), and the copying fallback stays on the same shard — so
+// a pump's frames never leave its shard however they parse.
 func (s *Stack) InputViewShard(v mem.View, clk *vtime.Clock, shard int) {
 	if s.closed.Load() {
 		return
@@ -160,10 +137,10 @@ func (s *Stack) inputViewInPlace(v *mem.View, clk *vtime.Clock, shard int) bool 
 	}
 	udpOff := EthHeaderBytes + fi.ip.HdrLen
 	ulen := fi.udp.length
-	spliceDev := s.spliceFor(fi.udp.dstPort)
+	spliceDev := s.udp.splice.lookup(fi.udp.dstPort)
 	var sock *UDPSocket
 	if spliceDev == nil {
-		if sock = s.lookupUDPShard(fi.udp.dstPort, shard); sock == nil {
+		if sock = s.udp.ports.lookup(fi.udp.dstPort); sock == nil {
 			return false // port unreachable: the copy path answers it
 		}
 	}

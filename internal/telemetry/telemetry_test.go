@@ -3,7 +3,11 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rakis/internal/vtime"
@@ -258,5 +262,52 @@ func TestRegistryBindCountersAndValue(t *testing.T) {
 	}
 	if found != 2 {
 		t.Fatalf("snapshot missing bound metrics: %v", snap)
+	}
+}
+
+// TestEveryCounterIsCarriedEverywhere holds the six hand-written lists of
+// vtime.Counters fields to the struct itself: each field is given a value
+// no other has and must come back from Snapshot under its own name, be
+// subtracted by Sub, be printed by String, and be readable through the
+// gauges BindCounters registers.
+func TestEveryCounterIsCarriedEverywhere(t *testing.T) {
+	var c vtime.Counters
+	cv := reflect.ValueOf(&c).Elem()
+	want := make(map[string]uint64)
+	for i := 0; i < cv.NumField(); i++ {
+		v := uint64(1_000_003 + 7*i)
+		cv.Field(i).Addr().Interface().(*atomic.Uint64).Store(v)
+		want[cv.Type().Field(i).Name] = v
+	}
+	snap := c.Snapshot()
+	if n := reflect.TypeOf(snap).NumField(); n != len(want) {
+		t.Errorf("Snapshot has %d fields, Counters %d", n, len(want))
+	}
+	diff := snap.Sub(vtime.Snapshot{}) // a field Sub forgets comes back zero
+	text := snap.String()
+	r := NewRegistry()
+	BindCounters(r, &c)
+	bound := make(map[uint64]string)
+	for name, v := range r.Values() {
+		bound[v] = name
+	}
+	for name, v := range want {
+		f := reflect.ValueOf(snap).FieldByName(name)
+		if !f.IsValid() {
+			t.Errorf("Snapshot has no field %s", name)
+			continue
+		}
+		if got := f.Uint(); got != v {
+			t.Errorf("Snapshot().%s = %d, want %d", name, got, v)
+		}
+		if got := reflect.ValueOf(diff).FieldByName(name).Uint(); got != v {
+			t.Errorf("Sub drops %s: s - 0 = %d, want %d", name, got, v)
+		}
+		if !strings.Contains(text, fmt.Sprintf("=%d", v)) {
+			t.Errorf("String() does not print %s: %s", name, text)
+		}
+		if bound[v] == "" {
+			t.Errorf("BindCounters registers no gauge reading %s", name)
+		}
 	}
 }

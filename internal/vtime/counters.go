@@ -157,18 +157,22 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	}
 }
 
-// String renders the snapshot as a compact single-line summary.
+// String renders every counter of the snapshot as a compact single-line
+// summary (TestEveryCounterIsCarriedEverywhere in internal/telemetry
+// holds it to "every").
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"exits=%d syscalls=%d ringviol=%d umemviol=%d cqeviol=%d rx=%d tx=%d drop=%d uring=%d wake=%d"+
+		"exits=%d syscalls=%d libos=%d ringviol=%d umemviol=%d cqeviol=%d"+
+			" rx=%d tx=%d drop=%d rxbytes=%d txbytes=%d uring=%d wake=%d"+
 			" faults=%d wretry=%d sretry=%d fbexit=%d resync=%d pollcancel=%d"+
 			" batch=%d batchmsg=%d wcoalesce=%d"+
-			" zcsaved=%d splice=%d",
-		s.EnclaveExits, s.Syscalls, s.RingViolations, s.UMemViolations,
-		s.CQEViolations, s.PacketsRx, s.PacketsTx, s.PacketsDropped,
-		s.IoUringOps, s.Wakeups,
+			" zcsaved=%d splice=%d"+
+			" cookiesent=%d cookieok=%d tcprefused=%d",
+		s.EnclaveExits, s.Syscalls, s.LibOSCalls, s.RingViolations, s.UMemViolations, s.CQEViolations,
+		s.PacketsRx, s.PacketsTx, s.PacketsDropped, s.BytesRx, s.BytesTx, s.IoUringOps, s.Wakeups,
 		s.FaultsInjected, s.WakeupRetries, s.SubmitRetries,
 		s.FallbackExits, s.RingResyncs, s.PollCancels,
 		s.BatchCalls, s.BatchedMsgs, s.WakeupsCoalesced,
-		s.CopyBytesSaved, s.SpliceFrames)
+		s.CopyBytesSaved, s.SpliceFrames,
+		s.TCPCookiesSent, s.TCPCookiesAccepted, s.TCPRefused)
 }

@@ -115,9 +115,10 @@ func TestRakisUDPDataPathHasNoExits(t *testing.T) {
 	before := w.Counters.Snapshot()
 
 	const rounds = 500
+	payload := make([]byte, 64) // not buf: the receive loop below writes that
 	go func() {
 		for i := 0; i < rounds; i++ {
-			cli.SendTo(cfd, buf[:64], dst)
+			cli.SendTo(cfd, payload, dst)
 		}
 	}()
 	got := 0
@@ -352,6 +353,80 @@ func TestRakisNonblockingRecv(t *testing.T) {
 	buf := make([]byte, 64)
 	if _, _, err := srv.RecvFrom(ufd, buf, false); !errors.Is(err, netstack.ErrWouldBlock) {
 		t.Fatalf("empty nonblocking recv = %v, want ErrWouldBlock", err)
+	}
+}
+
+// TestScalarUDPCallsAllocateNothing pins the scalar Thread calls now that
+// they run the vectored calls' bodies at width one: a SendTo and a
+// RecvFrom of a queued datagram cost no heap object, as when they were
+// functions of their own (0 and 0 at 43969f9), and they are not batch
+// calls.
+func TestScalarUDPCallsAllocateNothing(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	w := newWorld(t, experiments.RakisSGX, nil)
+	srv, err := w.ServerThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sfd, _ := srv.Socket(sys.UDP)
+	if err := srv.Bind(sfd, 7400); err != nil {
+		t.Fatal(err)
+	}
+	cli := w.ClientThread()
+	cfd, _ := cli.Socket(sys.UDP)
+	if err := cli.Bind(cfd, 7401); err != nil {
+		t.Fatal(err)
+	}
+	// One XSK, one pump, frames handled in arrival order: once a sentinel
+	// sent after the datagrams is receivable, they are all queued.
+	gfd, _ := srv.Socket(sys.UDP)
+	if err := srv.Bind(gfd, 7402); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	payload, buf := make([]byte, 64), make([]byte, 128)
+	for i := 0; i <= runs+1; i++ { // AllocsPerRun makes one warm-up call
+		dst := sys.Addr{IP: w.ServerIP, Port: 7400}
+		if i == runs+1 {
+			dst.Port = 7402
+		}
+		if _, err := cli.SendTo(cfd, payload, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := srv.RecvFrom(gfd, buf, true); err != nil {
+		t.Fatal(err)
+	}
+	recv := testing.AllocsPerRun(runs, func() {
+		if n, _, err := srv.RecvFrom(sfd, buf, false); err != nil || n != len(payload) {
+			t.Fatalf("RecvFrom = %d, %v", n, err)
+		}
+	})
+	dst := sys.Addr{IP: experiments.ClientIP, Port: 7401}
+	mid := w.Counters.Snapshot()
+	send := testing.AllocsPerRun(runs, func() {
+		if n, err := srv.SendTo(sfd, payload, dst); err != nil || n != len(payload) {
+			t.Fatalf("SendTo = %d, %v", n, err)
+		}
+	})
+	if recv != 0 || send != 0 {
+		t.Fatalf("scalar RecvFrom allocates %v objects per call, SendTo %v; want 0 and 0", recv, send)
+	}
+	// The same sends through the vectored call count one batch call and
+	// one batched message each on top of what the layers below count for
+	// either form.
+	scalar := w.Counters.Snapshot().Sub(mid)
+	for i := 0; i < runs+1; i++ {
+		if n, err := srv.SendToN(sfd, []sys.Mmsg{{Buf: payload, Addr: dst}}); err != nil || n != 1 {
+			t.Fatalf("SendToN = %d, %v", n, err)
+		}
+	}
+	vector := w.Counters.Snapshot().Sub(mid).Sub(scalar)
+	if vector.BatchCalls-scalar.BatchCalls != runs+1 || vector.BatchedMsgs-scalar.BatchedMsgs != runs+1 {
+		t.Fatalf("%d sends counted %d batch calls / %d msgs scalar, %d / %d vectored; want the API to add %d vectored only",
+			runs+1, scalar.BatchCalls, scalar.BatchedMsgs, vector.BatchCalls, vector.BatchedMsgs, runs+1)
 	}
 }
 

@@ -79,12 +79,17 @@ func (t *Thread) hook() *vtime.Clock {
 // gather windows; ignoring it is always correct, just not always fast.
 func (t *Thread) AdviseBatch() int { return t.rt.tuning.Batch() }
 
-// recvCopy moves one received payload into the app buffer — the single
-// explicit copy of the RX path. A view-backed datagram crosses the trust
-// boundary right here (boundary-copy rate, traced, frame released); a
-// copy-backed datagram is already trusted and pays only the user-space
-// copy rate.
-func (t *Thread) recvCopy(d *netstack.Datagram, p []byte, clk *vtime.Clock) int {
+// recvUDP is the one UDP receive body, behind RecvFrom, Recv and each
+// slot of RecvFromN: it takes the next datagram off the enclave socket
+// and moves its payload into the app buffer — the single explicit copy
+// of the RX path. A view-backed datagram crosses the trust boundary right
+// here (boundary-copy rate, traced, frame released); a copy-backed
+// datagram is already trusted and pays only the user-space copy rate.
+func (t *Thread) recvUDP(u *netstack.UDPSocket, p []byte, block bool, clk *vtime.Clock) (int, sys.Addr, error) {
+	d, err := u.RecvFrom(clk, block)
+	if err != nil {
+		return 0, sys.Addr{}, err
+	}
 	isView := d.IsView()
 	n := d.CopyOut(p)
 	if isView {
@@ -93,7 +98,48 @@ func (t *Thread) recvCopy(d *netstack.Datagram, p []byte, clk *vtime.Clock) int 
 	} else {
 		clk.Charge(vtime.CompCopy, vtime.Bytes(t.rt.cfg.Model.UserCopyPerByte, n))
 	}
-	return n
+	return n, d.Src, nil
+}
+
+// sendRunStack is how many same-destination payloads sendUDP gathers
+// without touching the heap: the widest vector the tuner advises.
+const sendRunStack = 32
+
+// sendUDP is the one UDP send body, behind SendTo (a run of one) and
+// SendToN: the enclave stack takes one destination per run, so it groups
+// consecutive same-destination messages and pushes each group through
+// the batched XSK path — one ring lock, one certification pass, at most
+// one MM wakeup. It marks each message sent with its length and returns
+// how many went out, with an error only when the first did not.
+func (t *Thread) sendUDP(u *netstack.UDPSocket, msgs []sys.Mmsg, clk *vtime.Clock) (int, error) {
+	sent := 0
+	var local [sendRunStack][]byte
+	for sent < len(msgs) {
+		dst := msgs[sent].Addr
+		end := sent + 1
+		for end < len(msgs) && msgs[end].Addr == dst {
+			end++
+		}
+		payloads := local[:0]
+		if end-sent > len(local) {
+			payloads = make([][]byte, 0, end-sent)
+		}
+		for i := sent; i < end; i++ {
+			payloads = append(payloads, msgs[i].Buf)
+		}
+		n, err := u.SendToN(payloads, dst, clk)
+		for i := sent; i < sent+n; i++ {
+			msgs[i].N = len(msgs[i].Buf)
+		}
+		sent += n
+		if err != nil && sent == 0 {
+			return 0, err
+		}
+		if err != nil || n < len(payloads) {
+			break
+		}
+	}
+	return sent, nil
 }
 
 // --- sockets ----------------------------------------------------------------
@@ -105,8 +151,7 @@ func (t *Thread) Socket(typ sys.SockType) (int, error) {
 	t.probe.Begin(telemetry.SpanSocket)
 	defer t.probe.End()
 	if typ == sys.UDP {
-		clk := t.hook()
-		_ = clk
+		t.hook()
 		sock, err := t.rt.Stack.UDPBind(0)
 		if err != nil {
 			return -1, err
@@ -188,8 +233,7 @@ func (t *Thread) Listen(fd int, backlog int) error {
 		return ErrWrongSocket
 	}
 	if e.kind == kindTCP {
-		clk := t.hook()
-		_ = clk
+		t.hook()
 		l, err := t.rt.Stack.TCPListen(e.tcpPort, backlog)
 		if err != nil {
 			return err
@@ -245,8 +289,8 @@ func (t *Thread) SendTo(fd int, p []byte, addr sys.Addr) (int, error) {
 	if e.kind != kindUDP {
 		return 0, ErrWrongSocket
 	}
-	clk := t.hook()
-	if err := e.udp.SendTo(p, addr, clk); err != nil {
+	m := [1]sys.Mmsg{{Buf: p, Addr: addr}}
+	if _, err := t.sendUDP(e.udp, m[:], t.hook()); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -263,25 +307,13 @@ func (t *Thread) RecvFrom(fd int, p []byte, block bool) (int, sys.Addr, error) {
 	if e.kind != kindUDP {
 		return 0, sys.Addr{}, ErrWrongSocket
 	}
-	clk := t.hook()
-	d, err := e.udp.RecvFrom(clk, block)
-	if err != nil {
-		return 0, sys.Addr{}, err
-	}
-	n := t.recvCopy(&d, p, clk)
-	return n, d.Src, nil
+	return t.recvUDP(e.udp, p, block, t.hook())
 }
 
-// sendRunStack is how many same-destination payloads SendToN gathers
-// without touching the heap: the widest vector the tuner advises.
-const sendRunStack = 32
-
 // SendToN transmits up to len(msgs) datagrams in one vectored call
-// (sendmmsg): one API hook and one fd lookup cover the batch, and the
-// enclave stack pushes all payloads through the batched XSK path — one
-// ring lock, one certification pass, at most one MM wakeup, and still no
-// enclave exit. Non-UDP descriptors fall back to the LibOS's vectored
-// path.
+// (sendmmsg): one API hook and one fd lookup cover the batch, which
+// sendUDP pushes through the enclave stack — still no enclave exit.
+// Non-UDP descriptors fall back to the LibOS's vectored path.
 func (t *Thread) SendToN(fd int, msgs []sys.Mmsg) (int, error) {
 	t.probe.Begin(telemetry.SpanSendToN)
 	defer t.probe.End()
@@ -299,38 +331,9 @@ func (t *Thread) SendToN(fd int, msgs []sys.Mmsg) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
 	}
-	// sendmmsg sends to one destination per call slot; the batched stack
-	// path handles one destination per run, so group consecutive
-	// same-destination messages.
-	sent := 0
-	var local [sendRunStack][]byte
-	for sent < len(msgs) {
-		dst := msgs[sent].Addr
-		end := sent + 1
-		for end < len(msgs) && msgs[end].Addr == dst {
-			end++
-		}
-		payloads := local[:0]
-		if end-sent > len(local) {
-			payloads = make([][]byte, 0, end-sent)
-		}
-		for i := sent; i < end; i++ {
-			payloads = append(payloads, msgs[i].Buf)
-		}
-		n, err := e.udp.SendToN(payloads, dst, clk)
-		for i := sent; i < sent+n; i++ {
-			msgs[i].N = len(msgs[i].Buf)
-		}
-		sent += n
-		if err != nil {
-			if sent == 0 {
-				return 0, err
-			}
-			break
-		}
-		if n < len(payloads) {
-			break
-		}
+	sent, err := t.sendUDP(e.udp, msgs, clk)
+	if err != nil {
+		return 0, err
 	}
 	if c := t.rt.cfg.Counters; c != nil {
 		c.BatchCalls.Add(1)
@@ -360,14 +363,12 @@ func (t *Thread) RecvFromN(fd int, msgs []sys.Mmsg, block bool) (int, error) {
 	got := 0
 	var firstErr error
 	for i := range msgs {
-		d, err := e.udp.RecvFrom(clk, block && got == 0)
+		n, src, err := t.recvUDP(e.udp, msgs[i].Buf, block && got == 0, clk)
 		if err != nil {
 			firstErr = err
 			break
 		}
-		n := t.recvCopy(&d, msgs[i].Buf, clk)
-		msgs[i].N = n
-		msgs[i].Addr = d.Src
+		msgs[i].N, msgs[i].Addr = n, src
 		got++
 	}
 	if c := t.rt.cfg.Counters; c != nil {
@@ -422,12 +423,8 @@ func (t *Thread) Recv(fd int, p []byte, block bool) (int, error) {
 	}
 	clk := t.hook()
 	if e.kind == kindUDP {
-		d, err := e.udp.RecvFrom(clk, block)
-		if err != nil {
-			return 0, err
-		}
-		n := t.recvCopy(&d, p, clk)
-		return n, nil
+		n, _, err := t.recvUDP(e.udp, p, block, clk)
+		return n, err
 	}
 	if e.kind == kindTCP {
 		if e.tcp == nil {

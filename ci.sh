@@ -59,9 +59,14 @@
 #                        xsk.send_batch, xsk.recv_views) must read 0
 #                        allocs_per_op (see DESIGN.md, "One path per
 #                        direction")
-#  13. line counts      — prints the two non-test line counts CHANGES.md
-#                        and ROADMAP.md quote, with the commands
-#                        reviewers use, so the figures are reproducible
+#  13. line counts      — prints the three non-test line counts CHANGES.md
+#                        and ROADMAP.md quote (the tree, internal/netstack,
+#                        internal/tm), with the commands reviewers use, so
+#                        the figures are reproducible
+#
+# Every go test line carries an explicit -timeout well under the 600 s
+# default (240 s per package on the test and race legs, -fuzztime + 60 s
+# on the fuzz legs), so a hang costs minutes, not ten.
 set -eu
 cd "$(dirname "$0")"
 
@@ -72,7 +77,7 @@ echo "==> rakis-lint ./..."
 go run ./cmd/rakis-lint ./...
 
 echo "==> go test ./internal/analysis/... (fixture freshness)"
-go test ./internal/analysis/...
+go test -timeout 240s ./internal/analysis/...
 
 echo "==> go vet ./..."
 go vet ./...
@@ -86,22 +91,22 @@ if [ -n "$unformatted" ]; then
 fi
 
 echo "==> go test ./..."
-go test ./...
+go test -timeout 240s ./...
 
 echo "==> go test -race -shuffle=on ./internal/..."
-go test -race -shuffle=on ./internal/...
+go test -race -shuffle=on -timeout 240s ./internal/...
 
 # -fuzzminimizetime is capped on every leg: the default burns 60 s
 # minimizing every new interesting input, which can eat the whole fuzz
-# budget.
+# budget. -timeout is -fuzztime + 60 s.
 echo "==> go test -fuzz=FuzzStackInput -fuzztime=30s ./internal/netstack"
-go test -run='^$' -fuzz='^FuzzStackInput$' -fuzztime=30s -fuzzminimizetime=10x ./internal/netstack
+go test -run='^$' -fuzz='^FuzzStackInput$' -fuzztime=30s -timeout 90s -fuzzminimizetime=10x ./internal/netstack
 
 echo "==> go test -fuzz=FuzzInputView -fuzztime=30s ./internal/netstack"
-go test -run='^$' -fuzz='^FuzzInputView$' -fuzztime=30s -fuzzminimizetime=10x ./internal/netstack
+go test -run='^$' -fuzz='^FuzzInputView$' -fuzztime=30s -timeout 90s -fuzzminimizetime=10x ./internal/netstack
 
 echo "==> go test -fuzz=FuzzInputTCP -fuzztime=30s ./internal/netstack"
-go test -run='^$' -fuzz='^FuzzInputTCP$' -fuzztime=30s -fuzzminimizetime=10x ./internal/netstack
+go test -run='^$' -fuzz='^FuzzInputTCP$' -fuzztime=30s -timeout 90s -fuzzminimizetime=10x ./internal/netstack
 
 echo "==> rakis-chaos -profile smoke"
 go run ./cmd/rakis-chaos -profile smoke
@@ -139,8 +144,9 @@ for m in netstack.udp_sendto xsk.send_batch xsk.recv_views; do
 	fi
 done
 
-echo "==> line counts: non-test Go outside bench/ and testdata/, then internal/netstack alone"
+echo "==> line counts: non-test Go outside bench/ and testdata/, then internal/netstack and internal/tm alone"
 find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | tail -1
 find ./internal/netstack -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | tail -1
+find ./internal/tm -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | tail -1
 
 echo "ci: all checks passed"

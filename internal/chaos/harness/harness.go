@@ -35,9 +35,9 @@ func Workloads() []string {
 
 // Excluded reports whether a workload must be skipped under a profile,
 // with the reason. The only exclusion: curl's established-stream client
-// blocks forever on a lost data packet (its QUIC-style reliability layer
-// is out of scope, §6.1 runs it on a lossless wire), so profiles that
-// drop or corrupt frames on the wire cannot run it to completion.
+// stalls out on a lost data packet (its QUIC-style reliability layer is
+// out of scope, §6.1 runs it on a lossless wire), so profiles that drop
+// or corrupt frames on the wire cannot run it to completion.
 func Excluded(p chaos.Profile, workload string) (bool, string) {
 	if workload == "curl" && (p.Prob[chaos.SiteNetDrop] > 0 || p.Prob[chaos.SiteNetCorrupt] > 0) {
 		return true, "curl assumes a lossless wire in its established stream"

@@ -13,6 +13,7 @@
 package mm
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,8 +64,11 @@ type Monitor struct {
 	proc *hostos.Proc
 	clk  vtime.Clock
 
+	// watches is never nil and is replaced copy-on-write (registrations
+	// serialise on mu, which no sweep takes), as netstack's portMap is:
+	// a sweep is one pointer load, no lock and no allocation.
 	mu      sync.Mutex
-	watches []*watch
+	watches atomic.Pointer[[]*watch]
 
 	// force requests one unconditional sweep: every watch fires its
 	// wakeup syscall regardless of edge detection. This is the enclave's
@@ -106,12 +110,14 @@ type Monitor struct {
 // New creates a Monitor issuing syscalls through the given host process
 // (which runs outside the enclave: its syscalls are not exits).
 func New(proc *hostos.Proc) *Monitor {
-	return &Monitor{
+	m := &Monitor{
 		proc:     proc,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		Interval: 5 * time.Microsecond,
 	}
+	m.watches.Store(new([]*watch))
+	return m
 }
 
 // Clock returns the monitor thread's virtual clock.
@@ -134,9 +140,7 @@ func (m *Monitor) WatchXSK(space *mem.Space, setup xsk.Setup) error {
 	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.watches = append(m.watches,
+	m.register(
 		&watch{kind: watchXskTX, fd: setup.FD, prod: txProd},
 		&watch{kind: watchXskFill, fd: setup.FD, prod: fillProd, flags: fillFlags},
 	)
@@ -150,10 +154,16 @@ func (m *Monitor) WatchUring(space *mem.Space, setup iouring.Setup) error {
 	if err != nil {
 		return err
 	}
+	m.register(&watch{kind: watchUring, fd: setup.FD, prod: prod})
+	return nil
+}
+
+// register publishes a fresh copy of the watch list with ws appended.
+func (m *Monitor) register(ws ...*watch) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.watches = append(m.watches, &watch{kind: watchUring, fd: setup.FD, prod: prod})
-	return nil
+	next := append(slices.Clone(*m.watches.Load()), ws...)
+	m.watches.Store(&next)
 }
 
 // Start launches the monitor thread.
@@ -212,14 +222,11 @@ func (m *Monitor) Dead() bool {
 // Sweep performs one pass over all watched rings, issuing wakeups where
 // producers moved — or on every watch when a Nudge is pending, since a
 // swallowed wakeup leaves the producer index exactly where the last
-// (lost) firing recorded it. Exported so tests (and the verification
-// binary) can drive the monitor deterministically.
+// (lost) firing recorded it. Exported so tests can drive the monitor
+// deterministically; it takes no lock and allocates nothing.
 func (m *Monitor) Sweep() int {
 	force := m.force.Swap(false)
-	m.mu.Lock()
-	watches := make([]*watch, len(m.watches))
-	copy(watches, m.watches)
-	m.mu.Unlock()
+	watches := *m.watches.Load()
 	m.applyMode(watches)
 	busy := m.busyApplied.Load()
 	fired := 0
@@ -320,11 +327,10 @@ type WatchStat struct {
 // WatchStats returns a snapshot of every watch's per-shard suppression
 // and issued-wakeup counters.
 func (m *Monitor) WatchStats() []WatchStat {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	kinds := map[watchKind]string{watchXskTX: "tx", watchXskFill: "fill", watchUring: "uring"}
-	out := make([]WatchStat, 0, len(m.watches))
-	for _, w := range m.watches {
+	watches := *m.watches.Load()
+	out := make([]WatchStat, 0, len(watches))
+	for _, w := range watches {
 		out = append(out, WatchStat{FD: w.fd, Kind: kinds[w.kind], Suppressed: w.suppressed.Load(), Issued: w.issued.Load()})
 	}
 	return out
@@ -334,10 +340,8 @@ func (m *Monitor) WatchStats() []WatchStat {
 // and fill watches summed) — the per-shard gauge the registry exports
 // as mm.xsk<N>.wakeups_suppressed.
 func (m *Monitor) Suppressed(fd int) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var n uint64
-	for _, w := range m.watches {
+	for _, w := range *m.watches.Load() {
 		if w.fd == fd {
 			n += w.suppressed.Load()
 		}
@@ -349,10 +353,8 @@ func (m *Monitor) Suppressed(fd int) uint64 {
 // (all its watches summed) — the per-shard gauge the registry exports
 // as mm.xsk<N>.wakeups.
 func (m *Monitor) Wakeups(fd int) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var n uint64
-	for _, w := range m.watches {
+	for _, w := range *m.watches.Load() {
 		if w.fd == fd {
 			n += w.issued.Load()
 		}

@@ -55,9 +55,13 @@ func TestMonitorFiresUringEnter(t *testing.T) {
 	if err := mon.WatchUring(f.kern.Space, setup); err != nil {
 		t.Fatal(err)
 	}
-	// No producer movement: sweep fires nothing.
+	// No producer movement: sweep fires nothing — and, as it runs every
+	// few microseconds for the life of the enclave, allocates nothing.
 	if n := mon.Sweep(); n != 0 {
 		t.Fatalf("idle sweep fired %d", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { mon.Sweep() }); n != 0 {
+		t.Fatalf("idle sweep allocates %v times", n)
 	}
 	// Submit a NOP; the sweep must notice and issue io_uring_enter.
 	tok, err := fm.Submit(iouring.SQE{Op: iouring.OpNop}, &clk)

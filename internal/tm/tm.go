@@ -15,20 +15,17 @@
 // u32 space (the classes are chosen so that within a class the FM's
 // comparisons cannot change outcome — including the wraparound
 // boundaries), interleaved with every FM operation, to a bounded depth.
-// The UMem allocator and the CQE validator are explored the same way.
 //
-// cmd/rakis-verify is the verification binary; the tests in this package
-// run the same exploration under `go test`.
+// There is one explorer (explore, below) and every model in models.go is
+// an instance of it: the certified ring at a set of run widths, the UMem
+// allocator, and the CQE validator. `go test -v -run TestVerifyAll
+// ./internal/tm` prints the §5.1 report table.
 package tm
 
 import (
 	"fmt"
 
-	"rakis/internal/iouring"
-	"rakis/internal/mem"
 	"rakis/internal/ring"
-	"rakis/internal/umem"
-	"rakis/internal/vtime"
 )
 
 // Report is one exploration's outcome.
@@ -55,384 +52,79 @@ func (r Report) String() string {
 	return fmt.Sprintf("%-28s %8d paths %8d states  %s", r.Name, r.Paths, r.States, status)
 }
 
-// AdversaryClasses returns the u32 equivalence-class representatives for
-// an untrusted index, relative to the trusted local index: in-window
-// values, both window boundaries, off-by-one beyond them, wraparound
-// boundary values, and extremes.
-//
-// This table is shared by the model checker (here and cmd/rakis-verify)
-// and the chaos injector (internal/chaos), so the values the checker
-// proves refused and the values chaos scribbles at runtime cannot drift
-// apart.
-func AdversaryClasses(local, size uint32) []uint32 {
-	return []uint32{
-		local,            // no progress
-		local + 1,        // minimal progress
-		local + size - 1, // just inside the window
-		local + size,     // exactly the window
-		local + size + 1, // one beyond: must be refused
-		local - 1,        // regression: must be refused
-		local - size,     // deep regression
-		local + 1<<31,    // half-space away
-		0,                // absolute zero
-		^uint32(0),       // absolute max
-	}
+// failf records one invariant breach; the explorer prefixes the path that
+// led to it.
+type failf func(format string, args ...any)
+
+// model describes one machine to the explorer: M is the real
+// implementation under test (never a re-statement of it), S one
+// transition, K the state a finished path is observed in.
+type model[M, S any, K comparable] struct {
+	name  string
+	depth int // longest step sequence explored
+	// fresh builds the implementation in its initial state.
+	fresh func() (M, error)
+	// steps enumerates the transitions out of m's current state (the
+	// adversary's values are relative to it).
+	steps func(m M) []S
+	// apply performs one transition, asserting after every sub-step.
+	apply func(m M, s S, fail failf)
+	// observe asserts what must hold where a path ends and returns the
+	// state reached.
+	observe func(m M, fail failf) K
 }
 
-// ringModel explores one certified ring side.
-type ringModel struct {
-	size  uint32
-	side  ring.Side
-	base  uint32 // starting index value (to cover wraparound starts)
-	depth int
-	// uncertified disables the Table 2 checks: the negative control the
-	// verifier must flag (the libxdp bug, §5).
-	uncertified bool
-
-	paths      int
-	states     map[[3]uint32]bool
-	violations []string
-}
-
-// VerifyRing explores the certified ring for one side and start base.
-func VerifyRing(side ring.Side, size uint32, startBase uint32, depth int) Report {
-	m := &ringModel{
-		size: size, side: side, base: startBase, depth: depth,
-		states: make(map[[3]uint32]bool),
-	}
-	m.explore(nil)
-	name := fmt.Sprintf("ring/%v size=%d base=%#x", side, size, startBase)
-	return Report{Name: name, Paths: m.paths, States: len(m.states), Violations: m.violations}
-}
-
-// step is one transition: either an adversary write or an FM operation.
-type step struct {
-	adversary bool
-	value     uint32 // adversary: the untrusted index value written
-	op        int    // FM: 0 = refresh counts, 1 = advance by 1, 2 = advance by max
-}
-
-// explore runs DFS over step sequences, replaying each path on a fresh
-// ring (the FM code under test is the real implementation, not a model).
-func (m *ringModel) explore(prefix []step) {
-	if len(prefix) == int(m.depth) {
-		return
-	}
-	// Enumerate next steps: adversary classes require the current local
-	// index, so replay the prefix first to learn it.
-	r, _, ok := m.replay(prefix)
-	if !ok {
-		return
-	}
-	local := r.Local()
-	var nexts []step
-	for _, v := range AdversaryClasses(local, m.size) {
-		nexts = append(nexts, step{adversary: true, value: v})
-	}
-	for op := 0; op < 3; op++ {
-		nexts = append(nexts, step{op: op})
-	}
-	for _, s := range nexts {
-		path := append(append([]step(nil), prefix...), s)
-		m.check(path)
-		m.explore(path)
-	}
-}
-
-// replay builds a fresh ring pair and applies the steps.
-func (m *ringModel) replay(path []step) (*ring.Ring, *mem.Space, bool) {
-	sp := mem.NewSpace(256, 4096)
-	base, err := sp.Alloc(mem.Untrusted, ring.TotalBytes(m.size, 8), 64)
-	if err != nil {
-		m.violations = append(m.violations, "alloc: "+err.Error())
-		return nil, nil, false
-	}
-	r, err := ring.New(ring.Config{
-		Space: sp, Access: mem.RoleEnclave, Base: base,
-		Size: m.size, EntrySize: 8, Side: m.side, Certified: !m.uncertified,
-	})
-	if err != nil {
-		m.violations = append(m.violations, "new: "+err.Error())
-		return nil, nil, false
-	}
-	// Start both indices at the chosen base (covers wrap starts).
-	r.Seed(m.base)
-	for _, s := range path {
-		m.apply(r, sp, s)
-	}
-	return r, sp, true
-}
-
-// peerCellAddr returns the shared cell the adversary scribbles: the
-// producer word when the FM consumes, the consumer word when it produces.
-func (m *ringModel) peerCellAddr(r *ring.Ring) mem.Addr {
-	if m.side == ring.Consumer {
-		return r.Base() // producer index at +0
-	}
-	return r.Base() + 4 // consumer index at +4
-}
-
-// apply performs one step against the real implementation.
-func (m *ringModel) apply(r *ring.Ring, sp *mem.Space, s step) {
-	if s.adversary {
-		cell, err := sp.Atomic32(mem.RoleHost, m.peerCellAddr(r))
-		if err == nil {
-			cell.Store(s.value)
-		}
-		return
-	}
-	// Slot loops touch at most one lap: beyond size the masked slot
-	// addresses repeat, so extra iterations cover no new state — and an
-	// uncertified ring (the negative control) can report counts in the
-	// billions, which executed literally would stall the explorer. The
-	// hostile count still advances the index in full via Submit/Release,
-	// which is exactly what check() must flag.
-	lap := func(n uint32) uint32 {
-		if n > r.Size() {
-			return r.Size()
-		}
-		return n
-	}
-	switch m.side {
-	case ring.Producer:
-		free, _ := r.Free()
-		switch s.op {
-		case 1:
-			if free > 0 {
-				r.WriteU64(0, 0xABCD)
-				r.Submit(1, 0)
-			}
-		case 2:
-			for i := uint32(0); i < lap(free); i++ {
-				r.WriteU64(i, uint64(i))
-			}
-			if free > 0 {
-				r.Submit(free, 0)
-			}
-		}
-	case ring.Consumer:
-		avail, _ := r.Available()
-		switch s.op {
-		case 1:
-			if avail > 0 {
-				r.ReadU64(0)
-				r.Release(1)
-			}
-		case 2:
-			for i := uint32(0); i < lap(avail); i++ {
-				r.ReadU64(i)
-			}
-			if avail > 0 {
-				r.Release(avail)
-			}
-		}
-	}
-}
-
-// check replays a path and asserts the model constraints, recording the
-// resulting state.
-func (m *ringModel) check(path []step) {
-	m.paths++
-	r, sp, ok := m.replay(path)
-	if !ok {
-		return
-	}
-	// Constraint (1): the trusted invariant.
-	if !r.InvariantHolds() {
-		m.violations = append(m.violations,
-			fmt.Sprintf("invariant broken after %v: local=%d peer=%d", path, r.Local(), r.Peer()))
-	}
-	// Counts must never exceed the trusted size.
-	var count uint32
-	if m.side == ring.Producer {
-		count, _ = r.Free()
-	} else {
-		count, _ = r.Available()
-	}
-	if count > m.size {
-		m.violations = append(m.violations,
-			fmt.Sprintf("count %d exceeds size %d after %v", count, m.size, path))
-	}
-	// Memory-access constraint: every slot the FM could touch next lies
-	// inside the untrusted ring object.
-	for i := uint32(0); i < count && i < m.size; i++ {
-		if err := sp.Check(mem.RoleEnclave, r.SlotAddr(i), 8); err != nil {
-			m.violations = append(m.violations,
-				fmt.Sprintf("slot %d escapes the ring object after %v: %v", i, path, err))
-		}
-		if !sp.InUntrusted(r.SlotAddr(i), 8) {
-			m.violations = append(m.violations,
-				fmt.Sprintf("slot %d not in untrusted memory after %v", i, path))
-		}
-	}
-	m.states[[3]uint32{r.Local(), r.Peer(), count}] = true
-}
-
-// VerifyUMem explores the frame allocator against adversarial consumed
-// offsets.
-func VerifyUMem(frames uint32, depth int) Report {
-	rep := Report{Name: fmt.Sprintf("umem frames=%d", frames)}
-	states := map[string]bool{}
-
-	type ustep struct {
-		alloc   bool
-		routine umem.Owner
-		off     uint64
-		length  uint32
-	}
-	offClasses := func(u *umem.UMem) []uint64 {
-		fs := uint64(u.FrameSize())
-		return []uint64{
-			0,               // frame 0 start
-			fs + fs/2,       // mid frame 1
-			u.Size() - 1,    // last byte
-			u.Size(),        // one past the end
-			^uint64(0) - fs, // extreme
-		}
-	}
-	lenClasses := func(u *umem.UMem) []uint32 {
-		return []uint32{0, u.FrameSize() / 2, u.FrameSize() + 1}
-	}
-
-	var explore func(prefix []ustep)
-	replay := func(path []ustep) *umem.UMem {
-		sp := mem.NewSpace(256, 4096)
-		base, _ := sp.Alloc(mem.Untrusted, uint64(frames)*128, 128)
-		u, err := umem.New(umem.Config{Space: sp, Base: base, FrameSize: 128, FrameCount: frames})
+// explore is the Testing Module's one explorer: a depth-first walk over
+// every step sequence up to x.depth. Each sequence is replayed from its
+// first step on a fresh implementation — once: the same replay asserts the
+// path, records its end state and enumerates its successors. It returns
+// the report and the set of states observed.
+func explore[M, S any, K comparable](x model[M, S, K]) (Report, map[K]bool) {
+	rep := Report{Name: x.name}
+	states := make(map[K]bool)
+	var visit func(path []S)
+	visit = func(path []S) {
+		m, err := x.fresh()
 		if err != nil {
 			rep.Violations = append(rep.Violations, err.Error())
-			return nil
+			return
+		}
+		fail := func(format string, args ...any) {
+			rep.Violations = append(rep.Violations,
+				fmt.Sprintf("after %+v: ", path)+fmt.Sprintf(format, args...))
 		}
 		for _, s := range path {
-			if s.alloc {
-				u.Alloc(s.routine)
-			} else {
-				u.ValidateConsumed(s.routine, s.off, s.length)
-			}
+			x.apply(m, s, fail)
 		}
-		return u
-	}
-	explore = func(prefix []ustep) {
-		if len(prefix) == depth {
-			return
-		}
-		u := replay(prefix)
-		if u == nil {
-			return
-		}
-		var nexts []ustep
-		for _, rt := range []umem.Owner{umem.OwnerFill, umem.OwnerTx} {
-			nexts = append(nexts, ustep{alloc: true, routine: rt})
-			for _, off := range offClasses(u) {
-				for _, l := range lenClasses(u) {
-					nexts = append(nexts, ustep{routine: rt, off: off, length: l})
-				}
-			}
-		}
-		for _, s := range nexts {
-			path := append(append([]ustep(nil), prefix...), s)
+		if len(path) > 0 {
 			rep.Paths++
-			u2 := replay(path)
-			if u2 == nil {
-				continue
-			}
-			if !u2.InvariantHolds() {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("umem invariant broken after %+v", path))
-			}
-			if u2.FreeFrames() > int(frames) {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("free pool %d exceeds %d after %+v", u2.FreeFrames(), frames, path))
-			}
-			key := fmt.Sprintf("%d", u2.FreeFrames())
-			states[key] = true
-			explore(path)
+			states[x.observe(m, fail)] = true
+		}
+		if len(path) == x.depth {
+			return
+		}
+		for _, s := range x.steps(m) {
+			// Siblings share path's backing array: a visit has formatted
+			// every message it will ever write before it returns.
+			visit(append(path, s))
 		}
 	}
-	explore(nil)
+	visit(make([]S, 0, x.depth))
 	rep.States = len(states)
-	return rep
-}
-
-// VerifyCQE exhaustively checks the FM's completion validator against an
-// independent statement of the Table 2 rule for every operation class.
-func VerifyCQE() Report {
-	return VerifyCQEAgainst(iouring.ResPlausibleForTest)
-}
-
-// VerifyCQEAgainst runs the CQE exploration against an arbitrary
-// validator implementation. Substituting a deliberately broken validator
-// lets the Testing Module's own tests confirm the explorer detects a
-// defective FM check rather than vacuously passing (§5.1's
-// fault-injection sanity check).
-func VerifyCQEAgainst(validate func(iouring.SQE, int32) bool) Report {
-	rep := Report{Name: "iouring CQE validation"}
-	reqLens := []uint32{0, 1, 100, 65536}
-	ops := []iouring.Op{
-		iouring.OpNop, iouring.OpRead, iouring.OpWrite, iouring.OpSend,
-		iouring.OpRecv, iouring.OpPollAdd, iouring.OpPollRemove, iouring.OpFsync,
-	}
-	for _, op := range ops {
-		for _, l := range reqLens {
-			for _, res := range ResultClasses(l) {
-				rep.Paths++
-				got := validate(iouring.SQE{Op: op, Len: l, OpFlags: uint32(iouring.PollIn)}, res)
-				want := oracle(op, l, res)
-				if got != want {
-					rep.Violations = append(rep.Violations,
-						fmt.Sprintf("op=%v len=%d res=%d: validator=%v oracle=%v", op, l, res, got, want))
-				}
-			}
-		}
-	}
-	rep.States = rep.Paths
-	return rep
-}
-
-// ResultClasses returns the int32 equivalence-class representatives for a
-// hostile CQE result field, relative to the request length: implausible
-// and plausible errnos, zero, around-the-length boundaries, and extremes.
-// Shared with the chaos injector the same way as AdversaryClasses.
-func ResultClasses(reqLen uint32) []int32 {
-	return []int32{
-		-200000, -4096, -4095, -32, -1,
-		0, 1, int32(reqLen) - 1, int32(reqLen), int32(reqLen) + 1,
-		1 << 20, 1<<31 - 1,
-	}
-}
-
-// oracle is the independent spec: errors must be sane errnos; transfer
-// results must not exceed the request; poll may only report requested
-// events plus error/hangup; control ops return zero.
-func oracle(op iouring.Op, reqLen uint32, res int32) bool {
-	if res < 0 {
-		return res > -4096
-	}
-	switch op {
-	case iouring.OpRead, iouring.OpWrite, iouring.OpSend, iouring.OpRecv:
-		return uint32(res) <= reqLen
-	case iouring.OpPollAdd:
-		allowed := uint32(iouring.PollIn) | 0x18
-		return uint32(res)&^allowed == 0
-	default:
-		return res == 0
-	}
+	return rep, states
 }
 
 // VerifyAll runs the full §5.1 suite: both ring sides from both a zero
-// base and a near-wraparound base, the UMem allocator, and the CQE
-// validator.
+// base and a near-wraparound base, at the scalar and the batched width
+// sets, the UMem allocator, and the CQE validator.
 func VerifyAll(depth int) []Report {
 	if depth <= 0 {
 		depth = 4
 	}
-	// The batched models run one level shallower: each of their steps is
-	// a whole run (up to maxModelBatch sub-steps, each asserted), so the
+	// The batched rows run one level shallower: each of their steps is a
+	// whole run (up to maxModelBatch sub-steps, each asserted), so the
 	// same interleaving coverage costs fewer explicit steps.
-	bdepth := depth - 1
-	if bdepth < 2 {
-		bdepth = 2
-	}
+	bdepth := max(depth-1, 2)
 	return []Report{
 		VerifyRing(ring.Producer, 4, 0, depth),
 		VerifyRing(ring.Consumer, 4, 0, depth),
@@ -446,6 +138,3 @@ func VerifyAll(depth int) []Report {
 		VerifyCQE(),
 	}
 }
-
-// silence unused-import until vtime is needed by future models.
-var _ = vtime.Default

@@ -1,6 +1,7 @@
 package tm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -122,41 +123,142 @@ func TestVerifyCQE(t *testing.T) {
 	}
 }
 
+// TestVerifyAll runs the §5.1 suite and pins every row's path and state
+// counts: the explorer and the models were rewritten once (three
+// explorers into one) and these are the numbers that proved the rewrite
+// explores exactly what its predecessors did. A change to a model or an
+// adversary table moves them on purpose and updates the table.
 func TestVerifyAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full verification sweep")
 	}
-	for _, rep := range VerifyAll(4) {
+	want := []struct {
+		name          string
+		paths, states int
+	}{
+		{"ring/producer size=4 base=0x0", 30940, 36},
+		{"ring/consumer size=4 base=0x0", 30940, 30},
+		{"ring/producer size=4 base=0xfffffffd", 30940, 38},
+		{"ring/consumer size=4 base=0xfffffffd", 30940, 31},
+		{"ring-batched/producer size=4 base=0x0", 3615, 32},
+		{"ring-batched/consumer size=4 base=0x0", 3615, 22},
+		{"ring-batched/producer size=4 base=0xfffffffd", 3615, 32},
+		{"ring-batched/consumer size=4 base=0xfffffffd", 3615, 23},
+		{"umem frames=3", 33824, 4},
+		{"iouring CQE validation", 384, 384},
+	}
+	reps := VerifyAll(4)
+	if len(reps) != len(want) {
+		t.Fatalf("VerifyAll returned %d reports, want %d", len(reps), len(want))
+	}
+	for i, rep := range reps {
 		t.Log(rep.String())
 		if !rep.OK() {
 			t.Errorf("%s: %v", rep.Name, rep.Violations[:min(3, len(rep.Violations))])
 		}
+		if w := want[i]; rep.Name != w.name || rep.Paths != w.paths || rep.States != w.states {
+			t.Errorf("row %d = %q %d paths %d states, want %q %d paths %d states",
+				i, rep.Name, rep.Paths, rep.States, w.name, w.paths, w.states)
+		}
 	}
+}
+
+// TestVerifyRingBatched exhaustively enumerates batched produce/consume
+// transitions for widths 1..4 over size-2 and size-4 rings, from a zero
+// base and from a base two below the u32 maximum (every published run
+// crosses the wrap), interleaved with the shared adversary partition.
+func TestVerifyRingBatched(t *testing.T) {
+	for _, side := range []ring.Side{ring.Producer, ring.Consumer} {
+		for _, size := range []uint32{2, 4} {
+			for _, base := range []uint32{0, ^uint32(0) - 2} {
+				rep := VerifyRingBatched(side, size, base, 3)
+				t.Log(rep.String())
+				if !rep.OK() {
+					t.Errorf("%s: %v", rep.Name, rep.Violations[:min(3, len(rep.Violations))])
+				}
+				if rep.Paths < 1000 {
+					t.Errorf("%s: exploration too shallow: %d paths", rep.Name, rep.Paths)
+				}
+				if rep.States < 5 {
+					t.Errorf("%s: exploration too narrow: %d states", rep.Name, rep.States)
+				}
+			}
+		}
+	}
+}
+
+// The batched widths must reach wider runs than single-step advances: a
+// width-4 run over a size-4 ring publishes the full window in one index
+// advance, which the state set must witness as a local-index jump of the
+// whole ring size.
+func TestVerifyRingBatchedReachesFullWindowPublish(t *testing.T) {
+	rep, states := ringModel{side: ring.Producer, size: 4, depth: 2,
+		widths: []uint32{0, 1, 2, 3, 4}}.explore()
+	full := false
+	for s := range states {
+		if s[0] == 4 { // local advanced by the whole window in ≤2 ops
+			full = true
+		}
+	}
+	if !full {
+		t.Fatal("batched exploration never published a full-window run")
+	}
+	if !rep.OK() {
+		t.Fatalf("violations: %v", rep.Violations[:min(3, len(rep.Violations))])
+	}
+}
+
+// flagsUncheckedRing reports whether the model, run against a ring with
+// the Table 2 checks disabled, records a count or invariant breach.
+func flagsUncheckedRing(widths []uint32) bool {
+	rep, _ := ringModel{side: ring.Consumer, size: 4, depth: 2,
+		widths: widths, uncertified: true}.explore()
+	for _, v := range rep.Violations {
+		if strings.Contains(v, "count") || strings.Contains(v, "invariant") {
+			return true
+		}
+	}
+	return false
 }
 
 // A deliberately broken ring (checks disabled) must FAIL verification:
 // the model checker's job is to catch exactly the libxdp-style bug.
 func TestVerifierCatchesUncertifiedRing(t *testing.T) {
-	m := &ringModel{
-		size: 4, side: ring.Consumer, base: 0, depth: 2,
-		states:      make(map[[3]uint32]bool),
-		uncertified: true,
-	}
-	m.explore(nil)
-	found := false
-	for _, v := range m.violations {
-		if strings.Contains(v, "count") || strings.Contains(v, "invariant") {
-			found = true
-		}
-	}
-	if !found {
+	if !flagsUncheckedRing([]uint32{0, 1, 4}) {
 		t.Fatal("verifier failed to flag the unchecked-ring vulnerability")
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// The same negative control at the batched widths, where whole runs are
+// sized by the hostile count.
+func TestBatchedVerifierCatchesUncertifiedRing(t *testing.T) {
+	if !flagsUncheckedRing([]uint32{0, 1, 2, 3, 4}) {
+		t.Fatal("batched verifier failed to flag the unchecked-ring vulnerability")
 	}
-	return b
+}
+
+// The scalar rows are the batched model at widths {0, 1, size}: they gain
+// its assertions between slot accesses. A ring whose invariant is already
+// broken when a width-1 operation starts must be flagged at the
+// intermediate points, not only where the path ends.
+func TestScalarWidthAssertsBetweenSlotAccesses(t *testing.T) {
+	x := ringModel{side: ring.Producer, size: 4, widths: []uint32{0, 1, 4}}
+	m, err := x.fresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.r.Submit(2*x.size, 0) // overrun the window behind the model's back
+	var got []string
+	x.apply(m, ringStep{k: 1}, func(format string, args ...any) {
+		got = append(got, fmt.Sprintf(format, args...))
+	})
+	for _, stage := range []string{"after the count read", "after a slot access", "after the publish"} {
+		found := false
+		for _, v := range got {
+			found = found || strings.Contains(v, stage)
+		}
+		if !found {
+			t.Errorf("width-1 operation made no assertion %s; got %q", stage, got)
+		}
+	}
 }

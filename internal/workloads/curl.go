@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"rakis/internal/sys"
@@ -118,6 +119,9 @@ func streamFile(t sys.Sys, fd int, dst sys.Addr, data []byte) {
 
 // Curl downloads Path from the native sQUIC server, running the client
 // inside the environment under test, and reports the download duration.
+// The established stream has no loss recovery (§6.1 runs it on a lossless
+// wire), so once it makes no progress for curlStallTimeout the download
+// is abandoned: Curl returns an error instead of blocking for ever.
 func Curl(env Env, p CurlParams, readFile func(string) ([]byte, error)) (CurlResult, error) {
 	if p.Port == 0 {
 		p.Port = 4433
@@ -130,6 +134,38 @@ func Curl(env Env, p CurlParams, readFile func(string) ([]byte, error)) (CurlRes
 	if err != nil {
 		return CurlResult{}, err
 	}
+	// The download owns the curl thread; this goroutine only watches its
+	// progress, because a thread is not safe to touch while it is blocked
+	// in a receive. An abandoned download stays parked there until the
+	// world closes its socket, as a failed UDPEcho's server does.
+	var (
+		got  atomic.Uint64
+		res  CurlResult
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		res, err = curlDownload(env, curl, p, &got)
+	}()
+	tick := time.NewTicker(curlStallTimeout)
+	defer tick.Stop()
+	for last := uint64(0); ; {
+		select {
+		case <-done:
+			return res, err
+		case <-tick.C:
+			g := got.Load()
+			if g > 0 && g == last { // the handshake (g == 0) bounds itself
+				return CurlResult{}, fmt.Errorf("curl: stream stalled at %d bytes", g)
+			}
+			last = g
+		}
+	}
+}
+
+// curlDownload is the client proper: request, receive to EOF, ACK. got
+// publishes the bytes received so far.
+func curlDownload(env Env, curl sys.Sys, p CurlParams, got *atomic.Uint64) (CurlResult, error) {
 	fd, err := curl.Socket(sys.UDP)
 	if err != nil {
 		return CurlResult{}, err
@@ -144,7 +180,6 @@ func Curl(env Env, p CurlParams, readFile func(string) ([]byte, error)) (CurlRes
 		return CurlResult{}, err
 	}
 
-	var got uint64
 	nextSeq := 0
 	retries := 0
 	buf := make([]byte, 4096)
@@ -152,7 +187,7 @@ func Curl(env Env, p CurlParams, readFile func(string) ([]byte, error)) (CurlRes
 	for {
 		var n int
 		var src sys.Addr
-		if got == 0 {
+		if got.Load() == 0 {
 			// The handshake phase polls so the request can be
 			// retransmitted, like a QUIC Initial, until the server is up.
 			var ok bool
@@ -165,7 +200,7 @@ func Curl(env Env, p CurlParams, readFile func(string) ([]byte, error)) (CurlRes
 					}
 					continue
 				}
-				return CurlResult{}, fmt.Errorf("curl: stream stalled at %d bytes", got)
+				return CurlResult{}, fmt.Errorf("curl: stream stalled at %d bytes", got.Load())
 			}
 		} else {
 			// Established stream on a lossless wire: blocking receive,
@@ -185,7 +220,7 @@ func Curl(env Env, p CurlParams, readFile func(string) ([]byte, error)) (CurlRes
 		consumed := false
 		if seq == nextSeq { // the wire is in-order and lossless
 			nextSeq++
-			got += uint64(n - quicHdrBytes)
+			got.Add(uint64(n - quicHdrBytes))
 			consumed = true
 		}
 		if flags&quicFlagEOF != 0 || nextSeq%quicAckEvery == 0 {
@@ -198,7 +233,7 @@ func Curl(env Env, p CurlParams, readFile func(string) ([]byte, error)) (CurlRes
 	}
 	cycles := sp.cycles()
 	return CurlResult{
-		Bytes:   got,
+		Bytes:   got.Load(),
 		Cycles:  cycles,
 		Seconds: env.Model.Seconds(cycles),
 	}, nil

@@ -40,6 +40,12 @@ type EchoResult struct {
 // run instead of hanging it.
 const echoTimeout = 5 * time.Second
 
+// curlStallTimeout is how long Curl's established stream may go without
+// a new in-order byte before the download is abandoned. It is longer than
+// streamFile's 2 s ACK wait, so the client never gives up on a stream the
+// server has not; a stall is reported within twice this.
+const curlStallTimeout = 3 * time.Second
+
 // UDPEcho runs an echo server in the environment under test and drives
 // it with a windowed native client: the client sends one window of Batch
 // datagrams, waits for all of them to come back, then sends the next —

@@ -62,7 +62,12 @@
 #  13. line counts      — prints the three non-test line counts CHANGES.md
 #                        and ROADMAP.md quote (the tree, internal/netstack,
 #                        internal/tm), with the commands reviewers use, so
-#                        the figures are reproducible
+#                        the figures are reproducible; then the wall-clock
+#                        census ROADMAP item 1 quotes, as a ratchet (it
+#                        may fall, never rise, until item 1(d)'s analyzer
+#                        exists), and the rule that the datapath sleeps
+#                        only in internal/vtime/wait.go (see DESIGN.md,
+#                        "One way to wait")
 #
 # Every go test line carries an explicit -timeout well under the 600 s
 # default (240 s per package on the test and race legs, -fuzztime + 60 s
@@ -148,5 +153,18 @@ echo "==> line counts: non-test Go outside bench/ and testdata/, then internal/n
 find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | tail -1
 find ./internal/netstack -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | tail -1
 find ./internal/tm -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs wc -l | tail -1
+
+echo "==> wall-clock census: time.Now/Sleep/After/NewTicker/NewTimer/AfterFunc/Since sites in non-test Go outside bench/ and examples/"
+census=$(grep -rn 'time\.\(Now\|Sleep\|After\|NewTicker\|NewTimer\|AfterFunc\|Since\)' --include='*.go' . | grep -v _test.go | grep -v '^./bench/' | grep -v '^./examples/' | wc -l)
+echo "$census"
+if [ "$census" -gt 62 ]; then
+	echo "ci: wall-clock census rose to $census (ratchet: 62); wait through internal/vtime/wait.go" >&2
+	exit 1
+fi
+if grep -n 'time\.\(Sleep\|After\)' internal/fm/*.go internal/sm/*.go internal/iouring/*.go \
+    internal/hostos/epoll.go internal/hostos/syscall.go | grep -v '_test\.go:'; then
+	echo "ci: the datapath sleeps only through internal/vtime/wait.go" >&2
+	exit 1
+fi
 
 echo "ci: all checks passed"

@@ -55,16 +55,6 @@ func Errno(res int32) error {
 // CursorOff is the Off value requesting cursor-relative file IO.
 const CursorOff = ^uint64(0)
 
-// txNudgeAfter and txKickAfter shape the pump's lost-wakeup ladder for
-// xTX, mirroring the io_uring ladder: the Monitor Module sweeps every few
-// microseconds, so entries still pending after txNudgeAfter mean the
-// sendto wakeup was swallowed. A free nudge re-fires it; only if entries
-// remain stranded past txKickAfter does the enclave pay a direct exit.
-const (
-	txNudgeAfter = 2 * time.Millisecond
-	txKickAfter  = 250 * time.Millisecond
-)
-
 // XskPump is the dedicated enclave thread driving one XSK.
 type XskPump struct {
 	sock  *xsk.Socket
@@ -73,7 +63,9 @@ type XskPump struct {
 
 	// waker is the lost-wakeup recovery ladder for the TX direction
 	// (xTX is edge-triggered: a swallowed sendto never re-fires on its
-	// own). Optional; set before Start.
+	// own; the Monitor Module sweeps every few microseconds, so entries
+	// still pending at the ladder's first rung mean the wakeup was
+	// swallowed). Optional; set before Start.
 	waker iouring.Waker
 
 	// tuning, when non-nil, couples the pump to the self-tuning runtime:
@@ -155,64 +147,45 @@ func (p *XskPump) Start() {
 // certified run and never waits for a batch to fill.
 const pumpBatchMax = 32
 
+// pumpPark is how the pump idles: 16 empty passes back to back, then a
+// sleep per pass.
+var pumpPark = vtime.Park{Spins: 16, Quantum: 20 * time.Microsecond}
+
 func (p *XskPump) run() {
 	defer close(p.done)
-	idle := 0
-	var stallSince, nudgeAt, kickAt time.Time
-	nudgeBackoff := txNudgeAfter
-	for {
-		select {
-		case <-p.stop:
-			return
-		default:
-		}
-		moved := p.pumpOnce()
-		// Service this shard's TCP retransmission wheel on the pump's
-		// clock: due retransmits are charged here and leave on this
-		// shard's flow-affine TX lane. A single atomic load when idle.
-		p.stack.TickTCP(&p.clk, p.shard)
-		if moved == 0 {
-			p.sock.Reap(&p.clk)
+	for stopped := false; !stopped; {
+		// One idle episode: passes until frames move (or Close), parking
+		// between the empty ones. A busy pass is an episode of one.
+		vtime.Until(-1, pumpPark, func(elapsed time.Duration) bool {
+			select {
+			case <-p.stop:
+				stopped = true
+				return true
+			default:
+			}
+			moved := p.pumpOnce()
+			// Service this shard's TCP retransmission wheel on the pump's
+			// clock: due retransmits are charged here and leave on this
+			// shard's flow-affine TX lane. A single atomic load when idle.
+			p.stack.TickTCP(&p.clk, p.shard)
+			if moved == 0 {
+				p.sock.Reap(&p.clk)
+			}
 			p.sock.Refill(&p.clk)
-			idle++
-			if idle > 16 {
-				time.Sleep(20 * time.Microsecond)
+			if moved > 0 {
+				return true
 			}
 			// TX recovery ladder: entries stranded on xTX mean a lost
 			// sendto wakeup (edge-triggered — nothing re-fires it). In
 			// busy-poll mode the ladder parks: the kernel worker drains
 			// xTX on its own, so pending entries are just in flight.
-			if p.tuning.BusyPoll() {
-				stallSince = time.Time{}
-			} else if p.waker.Nudge != nil || p.waker.Kick != nil {
-				if p.sock.TxPending() {
-					now := time.Now()
-					if stallSince.IsZero() {
-						stallSince = now
-						nudgeBackoff = txNudgeAfter
-						nudgeAt = now.Add(nudgeBackoff)
-						kickAt = now.Add(txKickAfter)
-					}
-					dead := p.waker.Dead != nil && p.waker.Dead()
-					switch {
-					case p.waker.Kick != nil && (dead || now.After(kickAt)):
-						p.waker.Kick()
-						p.retry()
-						kickAt = now.Add(txKickAfter)
-					case p.waker.Nudge != nil && !dead && now.After(nudgeAt):
-						p.waker.Nudge()
-						p.retry()
-						nudgeBackoff *= 2
-						nudgeAt = now.Add(nudgeBackoff)
-					}
-				} else {
-					stallSince = time.Time{}
-				}
+			if p.tuning.BusyPoll() || !p.sock.TxPending() {
+				p.waker.Reset()
+			} else if c := p.sock.Counters(); p.waker.Step(elapsed) && c != nil {
+				c.WakeupRetries.Add(1)
 			}
-			continue
-		}
-		idle = 0
-		p.sock.Refill(&p.clk)
+			return false
+		})
 	}
 }
 
@@ -235,13 +208,6 @@ func (p *XskPump) pumpOnce() int {
 	}
 	p.moved.Add(uint64(len(views)))
 	return len(views)
-}
-
-// retry records one rung of the recovery ladder.
-func (p *XskPump) retry() {
-	if c := p.sock.Counters(); c != nil {
-		c.WakeupRetries.Add(1)
-	}
 }
 
 // Close stops the pump and waits for it to exit.
@@ -311,35 +277,24 @@ func (u *UringFM) copied(n int, dir uint64, clk *vtime.Clock) {
 // FM rides out with bounded backoff, not an error on the first try.
 const submitRetryMax = 25
 
-// submitLadder is the full-iSub recovery ladder one submission climbs,
-// shared by the scalar and vectored submit paths.
-type submitLadder struct {
-	attempt int
-	backoff time.Duration
-}
-
-// step climbs one rung — drain any parked completions (emptying the
-// outstanding set is what re-enables the ring's cons==prod
-// reconciliation), escalate through the waker so a lost consumption
-// wakeup gets re-issued, count the retry, back off (doubling) — and
-// reports false once submitRetryMax rungs are spent. A full ring is also
-// how a scribbled consumer cell presents — the refused read pins Free at
-// its last trusted value — so the rungs double as the window in which
-// quarantine-and-resync heals the cell.
-func (u *UringFM) step(ld *submitLadder, clk *vtime.Clock) bool {
-	if ld.attempt >= submitRetryMax {
+// step climbs one rung of the full-iSub recovery ladder — drain any
+// parked completions (emptying the outstanding set is what re-enables the
+// ring's cons==prod reconciliation), escalate through the waker so a lost
+// consumption wakeup gets re-issued, count the retry, back off (doubling)
+// — and reports false once submitRetryMax rungs are spent. A full ring is
+// also how a scribbled consumer cell presents — the refused read pins
+// Free at its last trusted value — so the rungs double as the window in
+// which quarantine-and-resync heals the cell.
+func (u *UringFM) step(ld *vtime.Backoff, clk *vtime.Clock) bool {
+	if !ld.More() {
 		return false
 	}
-	ld.attempt++
 	u.ring.Drain(clk)
-	u.ring.Escalate()
+	u.ring.Waker().Escalate()
 	if c := u.ring.Counters(); c != nil {
 		c.SubmitRetries.Add(1)
 	}
-	time.Sleep(ld.backoff)
-	if ld.backoff < 2*time.Millisecond {
-		ld.backoff *= 2
-	}
+	ld.Sleep()
 	return true
 }
 
@@ -349,7 +304,7 @@ func (u *UringFM) step(ld *submitLadder, clk *vtime.Clock) bool {
 // the run got; the error is non-nil only when the ladder gave up
 // (ErrFull) or a non-retryable error struck.
 func (u *UringFM) submitRun(es []iouring.SQE, tokens []uint64, clk *vtime.Clock) (int, error) {
-	ld := submitLadder{backoff: 20 * time.Microsecond}
+	ld := vtime.NewBackoff(20*time.Microsecond, 2*time.Millisecond, submitRetryMax)
 	done := 0
 	for done < len(es) {
 		n, err := u.ring.SubmitN(es[done:], tokens[done:], clk)
@@ -525,14 +480,19 @@ func (u *UringFM) TryPoll(token uint64, clk *vtime.Clock) (int32, bool, error) {
 
 // Escalate forces a consumption wakeup for completions the kernel may
 // have produced while a scribbled index cell hides them. The blocking
-// Wait path rides its own nudge→kick ladder, but polls parked in the
-// API submodule's aggregation loop only ever TryPoll — an idle kernel
-// would never republish the cell and the loop would spin forever, so
-// the aggregation escalates explicitly after a stall.
-func (u *UringFM) Escalate() {
-	u.ring.Escalate()
-	if c := u.ring.Counters(); c != nil {
-		c.WakeupRetries.Add(1)
+// Wait path climbs the ring's ladder itself, but polls parked in the API
+// submodule's aggregation loop only ever TryPoll — an idle kernel would
+// never republish the cell and the loop would spin forever — so the
+// aggregation steps the same ladder with the time it has waited. Nothing
+// is provably stranded there, so the ladder restarts after each rung:
+// every nudgeAfter of quiet asks once more, and only a dead Monitor
+// Module is ever answered with the paid kick.
+func (u *UringFM) Escalate(elapsed time.Duration) {
+	if w := u.ring.Waker(); w.Step(elapsed) {
+		w.Reset()
+		if c := u.ring.Counters(); c != nil {
+			c.WakeupRetries.Add(1)
+		}
 	}
 }
 

@@ -29,6 +29,9 @@ type ladderFixture struct {
 	nudge int
 	kick  int
 	dead  bool
+	// onNudge and onKick, when set, run after the ring's waker counted
+	// the rung: the scenario's kernel-side reaction.
+	onNudge, onKick func()
 }
 
 func newLadderFixture(t *testing.T, entries uint32) *ladderFixture {
@@ -46,8 +49,8 @@ func newLadderFixture(t *testing.T, entries uint32) *ladderFixture {
 		Space: f.sp, Setup: iouring.Setup{FD: 3, SubBase: subB, ComplBase: cplB},
 		Entries: entries, Counters: f.ctr,
 		Waker: iouring.Waker{
-			Nudge: func() { f.nudge++ },
-			Kick:  func() { f.kick++ },
+			Nudge: func() { f.rung(&f.nudge, f.onNudge) },
+			Kick:  func() { f.rung(&f.kick, f.onKick) },
 			Dead:  func() bool { return f.dead },
 		},
 	})
@@ -70,6 +73,13 @@ func newLadderFixture(t *testing.T, entries uint32) *ladderFixture {
 		t.Fatal(err)
 	}
 	return f
+}
+
+func (f *ladderFixture) rung(count *int, react func()) {
+	*count++
+	if react != nil {
+		react()
+	}
 }
 
 // fill occupies the whole submission ring with nops nobody consumes.
@@ -131,12 +141,11 @@ func TestSubmitRetryRecoversMidLadder(t *testing.T) {
 	f := newLadderFixture(t, 8)
 	f.fill(t, 8)
 	recoverAt := 3
-	f.u.ring.SetWaker(iouring.Waker{Nudge: func() {
-		f.nudge++
+	f.onNudge = func() {
 		if f.nudge == recoverAt {
 			f.consume(t, 4)
 		}
-	}})
+	}
 	tok, err := f.u.submitRetry(iouring.SQE{Op: iouring.OpNop}, &f.clk)
 	if err != nil {
 		t.Fatalf("ladder did not recover: %v", err)
@@ -161,16 +170,11 @@ func TestSubmitRetryKicksWhenMMDead(t *testing.T) {
 	f.fill(t, 8)
 	f.dead = true
 	kickAt := 2
-	f.u.ring.SetWaker(iouring.Waker{
-		Dead: func() bool { return f.dead },
-		Kick: func() {
-			f.kick++
-			if f.kick == kickAt {
-				f.consume(t, 2)
-			}
-		},
-		Nudge: func() { f.nudge++ },
-	})
+	f.onKick = func() {
+		if f.kick == kickAt {
+			f.consume(t, 2)
+		}
+	}
 	if _, err := f.u.submitRetry(iouring.SQE{Op: iouring.OpNop}, &f.clk); err != nil {
 		t.Fatalf("ladder did not recover via kick: %v", err)
 	}
@@ -212,12 +216,11 @@ func TestSubmitRetryNPartialGiveUp(t *testing.T) {
 func TestSubmitRetryNRecoversTail(t *testing.T) {
 	f := newLadderFixture(t, 8)
 	recoverAt := 2
-	f.u.ring.SetWaker(iouring.Waker{Nudge: func() {
-		f.nudge++
+	f.onNudge = func() {
 		if f.nudge == recoverAt {
 			f.consume(t, 8)
 		}
-	}})
+	}
 	tokens, err := f.u.SubmitPollN(make([]PollReq, 12), &f.clk)
 	if err != nil {
 		t.Fatalf("batch did not land after recovery: %v", err)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"rakis/internal/sys"
 	"rakis/internal/vtime"
 )
 
@@ -14,25 +15,12 @@ import (
 // for the baselines; the RAKIS extension in the root package builds its
 // enclave-side equivalent over armed io_uring polls.
 
-// Epoll ctl ops.
-const (
-	EpollCtlAdd = 1
-	EpollCtlDel = 2
-	EpollCtlMod = 3
-)
-
-// EpollEvent is one readiness report.
-type EpollEvent struct {
-	FD     int
-	Events uint32
-}
-
 // epollObj is the kernel object behind an epoll descriptor. Interest is
 // kept in registration order (sets are small; a map's iteration order
 // would make the ready list differ run to run).
 type epollObj struct {
 	mu       sync.Mutex
-	interest []PollFD // FD and Events; Revents unused
+	interest []sys.PollFD // FD and Events; Revents unused
 	// next is where the following wait starts scanning: just past the
 	// last descriptor reported by a wait that filled its events, so a
 	// short events slice cannot starve the tail of the set.
@@ -48,28 +36,24 @@ func (p *Proc) EpollCreate(clk *vtime.Clock) (int, error) {
 // EpollCtl adds, removes, or modifies interest in fd.
 func (p *Proc) EpollCtl(epfd, op, fd int, events uint32, clk *vtime.Clock) error {
 	p.enter(clk)
-	obj, err := p.kern.lookupFD(epfd)
+	ep, err := lookupAs[*epollObj](p.kern, epfd, ErrInval)
 	if err != nil {
 		return err
 	}
-	ep, ok := obj.(*epollObj)
-	if !ok {
-		return ErrInval
-	}
-	if _, err := p.kern.lookupFD(fd); err != nil && op != EpollCtlDel {
+	if _, err := p.kern.lookupFD(fd); err != nil && op != sys.EpollCtlDel {
 		return err
 	}
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	i := slices.IndexFunc(ep.interest, func(in PollFD) bool { return in.FD == fd })
+	i := slices.IndexFunc(ep.interest, func(in sys.PollFD) bool { return in.FD == fd })
 	switch op {
-	case EpollCtlAdd, EpollCtlMod:
+	case sys.EpollCtlAdd, sys.EpollCtlMod:
 		if i < 0 {
-			ep.interest = append(ep.interest, PollFD{FD: fd, Events: events})
+			ep.interest = append(ep.interest, sys.PollFD{FD: fd, Events: events})
 		} else {
 			ep.interest[i].Events = events
 		}
-	case EpollCtlDel:
+	case sys.EpollCtlDel:
 		if i >= 0 {
 			ep.interest = slices.Delete(ep.interest, i, i+1)
 		}
@@ -82,48 +66,32 @@ func (p *Proc) EpollCtl(epfd, op, fd int, events uint32, clk *vtime.Clock) error
 // EpollWait reports ready descriptors, waiting up to timeout (in real
 // time; < 0 blocks). Unlike poll, the virtual cost scales with the
 // *ready* set plus a constant, which is epoll's entire point.
-func (p *Proc) EpollWait(epfd int, events []EpollEvent, timeout time.Duration, clk *vtime.Clock) (int, error) {
+func (p *Proc) EpollWait(epfd int, events []sys.EpollEvent, timeout time.Duration, clk *vtime.Clock) (int, error) {
 	p.enter(clk)
-	obj, err := p.kern.lookupFD(epfd)
+	ep, err := lookupAs[*epollObj](p.kern, epfd, ErrInval)
 	if err != nil {
 		return 0, err
 	}
-	ep, ok := obj.(*epollObj)
-	if !ok {
-		return 0, ErrInval
-	}
-	var deadline time.Time
-	if timeout >= 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for {
-		n := 0
+	n := 0
+	vtime.Until(timeout, kernelPark, func(time.Duration) bool {
 		ep.mu.Lock()
+		defer ep.mu.Unlock()
 		start := ep.next
 		ep.next = 0
 		for k := 0; k < len(ep.interest) && n < len(events); k++ {
 			i := (start + k) % len(ep.interest)
 			in := ep.interest[i]
-			if re := p.readiness(in.FD, in.Events); re != 0 {
-				events[n] = EpollEvent{FD: in.FD, Events: re}
+			if re := p.kern.readiness(in.FD, in.Events); re != 0 {
+				events[n] = sys.EpollEvent{FD: in.FD, Events: re}
 				if n++; n == len(events) {
 					ep.next = i + 1
 				}
 			}
 		}
-		ep.mu.Unlock()
-		if n > 0 {
-			if !p.Free {
-				clk.Advance(uint64(n) * p.kern.Model.PollPerFD)
-			}
-			return n, nil
-		}
-		if timeout == 0 {
-			return 0, nil
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return 0, nil
-		}
-		time.Sleep(50 * time.Microsecond)
+		return n > 0
+	})
+	if n > 0 && !p.Free {
+		clk.Advance(uint64(n) * p.kern.Model.PollPerFD)
 	}
+	return n, nil
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rakis/internal/netstack"
+	"rakis/internal/sys"
 	"rakis/internal/vtime"
 )
 
@@ -21,22 +22,22 @@ func TestEpollKernelObject(t *testing.T) {
 	w.sproc.Bind(ufd, 8300, &clk)
 	ffd, _ := w.sproc.Open("/epoll-file", OCreate|ORdwr, &clk)
 
-	if err := w.sproc.EpollCtl(epfd, EpollCtlAdd, ufd, PollIn, &clk); err != nil {
+	if err := w.sproc.EpollCtl(epfd, sys.EpollCtlAdd, ufd, sys.PollIn, &clk); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.sproc.EpollCtl(epfd, EpollCtlAdd, ffd, PollIn|PollOut, &clk); err != nil {
+	if err := w.sproc.EpollCtl(epfd, sys.EpollCtlAdd, ffd, sys.PollIn|sys.PollOut, &clk); err != nil {
 		t.Fatal(err)
 	}
 
 	// The file is immediately ready; the socket is not.
-	evs := make([]EpollEvent, 4)
+	evs := make([]sys.EpollEvent, 4)
 	n, err := w.sproc.EpollWait(epfd, evs, 0, &clk)
 	if err != nil || n != 1 || evs[0].FD != ffd {
 		t.Fatalf("wait = %d, %v, %+v", n, err, evs[:1])
 	}
 
 	// Remove the file; now an idle wait times out.
-	if err := w.sproc.EpollCtl(epfd, EpollCtlDel, ffd, 0, &clk); err != nil {
+	if err := w.sproc.EpollCtl(epfd, sys.EpollCtlDel, ffd, 0, &clk); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := w.sproc.EpollWait(epfd, evs, 10*time.Millisecond, &clk); n != 0 {
@@ -51,7 +52,7 @@ func TestEpollKernelObject(t *testing.T) {
 		w.cproc.SendTo(cfd, []byte("x"), netstack.Addr{IP: netstack.IP4{10, 0, 0, 2}, Port: 8300}, &cclk)
 	}()
 	n, err = w.sproc.EpollWait(epfd, evs, 2*time.Second, &clk)
-	if err != nil || n != 1 || evs[0].FD != ufd || evs[0].Events&PollIn == 0 {
+	if err != nil || n != 1 || evs[0].FD != ufd || evs[0].Events&sys.PollIn == 0 {
 		t.Fatalf("blocking wait = %d, %v, %+v", n, err, evs[:1])
 	}
 
@@ -62,7 +63,7 @@ func TestEpollKernelObject(t *testing.T) {
 	if err := w.sproc.EpollCtl(epfd, 99, ufd, 0, &clk); !errors.Is(err, ErrInval) {
 		t.Fatal("bad ctl op must be EINVAL")
 	}
-	if err := w.sproc.EpollCtl(epfd, EpollCtlAdd, 9999, PollIn, &clk); !errors.Is(err, ErrBadFD) {
+	if err := w.sproc.EpollCtl(epfd, sys.EpollCtlAdd, 9999, sys.PollIn, &clk); !errors.Is(err, ErrBadFD) {
 		t.Fatal("adding a bad fd must fail")
 	}
 	if err := w.sproc.Close(epfd, &clk); err != nil {

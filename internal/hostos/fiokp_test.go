@@ -14,6 +14,7 @@ import (
 	"rakis/internal/mem"
 	"rakis/internal/netstack"
 	"rakis/internal/ring"
+	"rakis/internal/sys"
 	"rakis/internal/vtime"
 	"rakis/internal/xsk"
 )
@@ -426,5 +427,71 @@ func TestIoUringHostileCompletions(t *testing.T) {
 
 	if _, err := fm.Wait(tok, &clk); !errors.Is(err, iouring.EPERM) {
 		t.Fatalf("hostile completion err = %v, want EPERM", err)
+	}
+}
+
+// TestPollRemoveEndsTheArmedPoll: a poll_remove must end the kernel-side
+// wait it names, not merely forget it — the armed poll completes
+// -ECANCELED at once, leaves nothing registered, and posts nothing later
+// (it used to keep re-polling the socket to its ten-second deadline and
+// then complete 0 to nobody).
+func TestPollRemoveEndsTheArmedPoll(t *testing.T) {
+	w := newTestWorld(t)
+	var clk vtime.Clock
+	setup, err := w.sproc.IoUringSetup(8, &clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, err := iouring.Attach(iouring.Config{Space: w.kern.Space, Setup: setup, Entries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uobj, _ := w.kern.lookupFD(setup.FD)
+	u := uobj.(*uringKernel)
+	armed := func() int {
+		u.pollMu.Lock()
+		defer u.pollMu.Unlock()
+		return len(u.pollCancels)
+	}
+	// within spins until cond holds, failing the test after a second.
+	within := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	fd, _ := w.sproc.Socket(SockUDP, &clk) // quiet: nothing ever arrives
+	poll, err := fm.Submit(iouring.SQE{Op: iouring.OpPollAdd, FD: int32(fd), OpFlags: sys.PollIn}, &clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.sproc.IoUringEnter(setup.FD, &clk)
+	within("the poll to arm", func() bool { return armed() == 1 })
+
+	rm, err := fm.Submit(iouring.SQE{Op: iouring.OpPollRemove, Off: poll}, &clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.sproc.IoUringEnter(setup.FD, &clk)
+	results := map[uint64]int32{}
+	within("both completions", func() bool {
+		for _, tok := range []uint64{poll, rm} {
+			if res, done, _ := fm.TryWait(tok, &clk); done {
+				results[tok] = res
+			}
+		}
+		return len(results) == 2
+	})
+	if results[rm] != 0 || results[poll] != errnoECANCELED {
+		t.Fatalf("poll_remove = %d, cancelled poll = %d, want 0 and %d", results[rm], results[poll], errnoECANCELED)
+	}
+	if n := armed(); n != 0 {
+		t.Fatalf("%d polls still registered after the cancel", n)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if avail, _ := fm.Compl.Available(); avail != 0 {
+		t.Fatalf("%d completions nobody asked for followed the cancel", avail)
 	}
 }

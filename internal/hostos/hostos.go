@@ -16,11 +16,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"rakis/internal/chaos"
 	"rakis/internal/mem"
 	"rakis/internal/netsim"
 	"rakis/internal/netstack"
+	"rakis/internal/sys"
 	"rakis/internal/telemetry"
 	"rakis/internal/vtime"
 )
@@ -102,6 +104,71 @@ func (k *Kernel) lookupFD(fd int) (any, error) {
 	}
 	return obj, nil
 }
+
+// lookupAs returns fd's kernel object as a T, or wrong when the
+// descriptor names some other kind of object.
+func lookupAs[T any](k *Kernel, fd int, wrong error) (T, error) {
+	obj, err := k.lookupFD(fd)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	o, ok := obj.(T)
+	if !ok {
+		return o, wrong
+	}
+	return o, nil
+}
+
+// wake delivers the effect of one wakeup syscall — fire(obj, at), at
+// being the caller's virtual time — through fault sites (b): the host
+// may lose, defer, or repeat the wakeup. The syscall itself still
+// "succeeds": the enclave cannot observe a loss except as a stall. It
+// returns what the synchronous firings returned. fire is a plain
+// function, not a closure over obj, so a wakeup allocates nothing.
+func wake[T any](p *Proc, clk *vtime.Clock, obj T, fire func(T, uint64) int) int {
+	if p.Counters != nil {
+		p.Counters.Wakeups.Add(1)
+	}
+	inj, at := p.kern.Chaos, clk.Now()
+	if inj.WakeDrop() {
+		return 0
+	}
+	if d := inj.WakeDelay(); d > 0 {
+		go func() {
+			time.Sleep(d)
+			fire(obj, at)
+		}()
+		return 0
+	}
+	n := fire(obj, at)
+	if inj.WakeDup() {
+		n += fire(obj, at)
+	}
+	return n
+}
+
+// readiness is the kernel's one answer to "which of events hold on fd
+// now?", behind poll, epoll and io_uring's poll_add alike: a socket's
+// own Ready, both directions for a regular file (files never block),
+// sys.PollErr for a descriptor that cannot be polled.
+func (k *Kernel) readiness(fd int, events uint32) uint32 {
+	switch o, _ := k.lookupFD(fd); o := o.(type) {
+	case *udpObj:
+		return o.sock.Ready(events)
+	case *tcpObj:
+		if o.sock != nil {
+			return o.sock.Ready(events)
+		}
+	case *File:
+		return events & (sys.PollIn | sys.PollOut)
+	}
+	return sys.PollErr
+}
+
+// kernelPark is how a blocked poll, epoll_wait or armed io_uring poll
+// waits for readiness: a sleep per pass.
+var kernelPark = vtime.Park{Quantum: 50 * time.Microsecond}
 
 func (k *Kernel) removeFD(fd int) (any, error) {
 	k.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"rakis/internal/mem"
 	"rakis/internal/netsim"
 	"rakis/internal/netstack"
+	"rakis/internal/sys"
 	"rakis/internal/vtime"
 )
 
@@ -228,9 +229,9 @@ func TestPollSyscall(t *testing.T) {
 	w.sproc.Bind(ufd, 8888, &clk)
 	ffd, _ := w.sproc.Open("/f", OCreate|ORdwr, &clk)
 
-	fds := []PollFD{
-		{FD: ufd, Events: PollIn},
-		{FD: ffd, Events: PollIn | PollOut},
+	fds := []sys.PollFD{
+		{FD: ufd, Events: sys.PollIn},
+		{FD: ffd, Events: sys.PollIn | sys.PollOut},
 	}
 	n, err := w.sproc.Poll(fds, 0, &clk)
 	if err != nil || n != 1 {
@@ -247,13 +248,13 @@ func TestPollSyscall(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		w.cproc.SendTo(cfd, []byte("x"), netstack.Addr{IP: netstack.IP4{10, 0, 0, 2}, Port: 8888}, &cclk)
 	}()
-	n, err = w.sproc.Poll([]PollFD{{FD: ufd, Events: PollIn}}, time.Second, &clk)
+	n, err = w.sproc.Poll([]sys.PollFD{{FD: ufd, Events: sys.PollIn}}, time.Second, &clk)
 	if err != nil || n != 1 {
 		t.Fatalf("blocking poll = %d, %v", n, err)
 	}
 
-	// Bad fd reports PollErr.
-	n, _ = w.sproc.Poll([]PollFD{{FD: 999, Events: PollIn}}, 0, &clk)
+	// Bad fd reports sys.PollErr.
+	n, _ = w.sproc.Poll([]sys.PollFD{{FD: 999, Events: sys.PollIn}}, 0, &clk)
 	if n != 1 {
 		t.Fatal("bad fd must report an event")
 	}

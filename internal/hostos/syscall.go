@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"rakis/internal/netstack"
+	"rakis/internal/sys"
 	"rakis/internal/telemetry"
 	"rakis/internal/vtime"
 )
@@ -176,13 +177,12 @@ func (p *Proc) Connect(fd int, addr netstack.Addr, clk *vtime.Clock) error {
 // Accept returns a new descriptor for the next established connection.
 func (p *Proc) Accept(fd int, clk *vtime.Clock, block bool) (int, netstack.Addr, error) {
 	p.enter(clk)
-	obj, err := p.kern.lookupFD(fd)
+	o, err := lookupAs[*tcpObj](p.kern, fd, ErrNotSocket)
+	if err == nil && !o.listener {
+		err = ErrNotSocket
+	}
 	if err != nil {
 		return -1, netstack.Addr{}, err
-	}
-	o, ok := obj.(*tcpObj)
-	if !ok || !o.listener {
-		return -1, netstack.Addr{}, ErrNotSocket
 	}
 	c, err := o.sock.Accept(clk, block)
 	if err != nil {
@@ -194,13 +194,9 @@ func (p *Proc) Accept(fd int, clk *vtime.Clock, block bool) (int, netstack.Addr,
 // SendTo transmits one datagram.
 func (p *Proc) SendTo(fd int, b []byte, addr netstack.Addr, clk *vtime.Clock) (int, error) {
 	p.enter(clk)
-	obj, err := p.kern.lookupFD(fd)
+	o, err := lookupAs[*udpObj](p.kern, fd, ErrNotSocket)
 	if err != nil {
 		return 0, err
-	}
-	o, ok := obj.(*udpObj)
-	if !ok {
-		return 0, ErrNotSocket
 	}
 	if err := o.sock.SendTo(b, addr, clk); err != nil {
 		return 0, err
@@ -211,13 +207,9 @@ func (p *Proc) SendTo(fd int, b []byte, addr netstack.Addr, clk *vtime.Clock) (i
 // RecvFrom receives one datagram into b.
 func (p *Proc) RecvFrom(fd int, b []byte, clk *vtime.Clock, block bool) (int, netstack.Addr, error) {
 	p.enter(clk)
-	obj, err := p.kern.lookupFD(fd)
+	o, err := lookupAs[*udpObj](p.kern, fd, ErrNotSocket)
 	if err != nil {
 		return 0, netstack.Addr{}, err
-	}
-	o, ok := obj.(*udpObj)
-	if !ok {
-		return 0, netstack.Addr{}, ErrNotSocket
 	}
 	d, err := o.sock.RecvFrom(clk, block)
 	if err != nil {
@@ -302,15 +294,7 @@ func (p *Proc) Open(path string, flags int, clk *vtime.Clock) (int, error) {
 }
 
 func (p *Proc) file(fd int) (*File, error) {
-	obj, err := p.kern.lookupFD(fd)
-	if err != nil {
-		return nil, err
-	}
-	f, ok := obj.(*File)
-	if !ok {
-		return nil, ErrNotFile
-	}
-	return f, nil
+	return lookupAs[*File](p.kern, fd, ErrNotFile)
 }
 
 // Read reads from the file cursor.
@@ -434,84 +418,26 @@ func (p *Proc) Close(fd int, clk *vtime.Clock) error {
 
 // --- poll -------------------------------------------------------------------
 
-// Poll event bits.
-const (
-	PollIn  uint32 = 1 << 0
-	PollOut uint32 = 1 << 2
-	PollErr uint32 = 1 << 3
-)
-
-// PollFD is one poll entry; Revents is filled on return.
-type PollFD struct {
-	FD      int
-	Events  uint32
-	Revents uint32
-}
-
-// readiness computes the revents for one descriptor.
-func (p *Proc) readiness(fd int, events uint32) uint32 {
-	obj, err := p.kern.lookupFD(fd)
-	if err != nil {
-		return PollErr
-	}
-	var re uint32
-	switch o := obj.(type) {
-	case *udpObj:
-		if events&PollIn != 0 && o.sock.Readable() {
-			re |= PollIn
-		}
-		if events&PollOut != 0 {
-			re |= PollOut // UDP is always writable here
-		}
-	case *tcpObj:
-		if o.sock == nil {
-			return PollErr
-		}
-		if events&PollIn != 0 && o.sock.Readable() {
-			re |= PollIn
-		}
-		if events&PollOut != 0 && !o.listener && o.sock.Writable() {
-			re |= PollOut
-		}
-	case *File:
-		re |= events & (PollIn | PollOut) // regular files never block
-	default:
-		return PollErr
-	}
-	return re
-}
-
 // Poll waits until any descriptor is ready or the real-time timeout
 // expires (timeout < 0 waits indefinitely). It returns the ready count
 // and fills Revents. The virtual cost is one scan of the descriptor set.
-func (p *Proc) Poll(fds []PollFD, timeout time.Duration, clk *vtime.Clock) (int, error) {
+func (p *Proc) Poll(fds []sys.PollFD, timeout time.Duration, clk *vtime.Clock) (int, error) {
 	p.enter(clk)
 	if !p.Free {
 		clk.Advance(uint64(len(fds)) * p.kern.Model.PollPerFD)
 	}
-	var deadline time.Time
-	if timeout >= 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	for {
-		n := 0
+	n := 0
+	vtime.Until(timeout, kernelPark, func(time.Duration) bool {
+		n = 0
 		for i := range fds {
-			fds[i].Revents = p.readiness(fds[i].FD, fds[i].Events)
+			fds[i].Revents = p.kern.readiness(fds[i].FD, fds[i].Events)
 			if fds[i].Revents != 0 {
 				n++
 			}
 		}
-		if n > 0 {
-			return n, nil
-		}
-		if timeout == 0 {
-			return 0, nil
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return 0, nil
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
+		return n > 0
+	})
+	return n, nil
 }
 
 // Futex models Gramine's observation (§6.1) that some futex waits can be

@@ -8,8 +8,8 @@ import (
 	"rakis/internal/chaos"
 	"rakis/internal/iouring"
 	"rakis/internal/mem"
-	"rakis/internal/netstack"
 	"rakis/internal/ring"
+	"rakis/internal/sys"
 	"rakis/internal/vtime"
 )
 
@@ -82,35 +82,11 @@ func (p *Proc) IoUringSetup(entries uint32, clk *vtime.Clock) (iouring.Setup, er
 // It does not block: the kernel routine runs asynchronously.
 func (p *Proc) IoUringEnter(fd int, clk *vtime.Clock) error {
 	p.enter(clk)
-	obj, err := p.kern.lookupFD(fd)
+	u, err := lookupAs[*uringKernel](p.kern, fd, ErrInval)
 	if err != nil {
 		return err
 	}
-	u, ok := obj.(*uringKernel)
-	if !ok {
-		return ErrInval
-	}
-	if p.Counters != nil {
-		p.Counters.Wakeups.Add(1)
-	}
-	// Fault sites (b): the host may lose, defer, or repeat the wakeup.
-	// The syscall itself still "succeeds" — the enclave cannot observe
-	// the loss except as a stalled completion.
-	inj := p.kern.Chaos
-	if inj.WakeDrop() {
-		return nil
-	}
-	if d := inj.WakeDelay(); d > 0 {
-		go func() {
-			time.Sleep(d)
-			u.kick()
-		}()
-	} else {
-		u.kick()
-	}
-	if inj.WakeDup() {
-		u.kick()
-	}
+	wake(p, clk, u, func(u *uringKernel, _ uint64) int { u.kick(); return 0 })
 	return nil
 }
 
@@ -201,12 +177,10 @@ func (u *uringKernel) worker() {
 				u.complete(sqe.UserData, u.hostileRes(sqe, u.execute(sqe, &clk)), clk.Now())
 				continue
 			case iouring.OpPollAdd:
-				if obj, err := u.kern.lookupFD(int(sqe.FD)); err == nil {
-					if re := pollReadiness(sqe, obj); re > 0 {
-						clk.Advance(m.PollPerFD)
-						u.complete(sqe.UserData, u.hostileRes(sqe, re), clk.Now())
-						continue
-					}
+				if re := u.kern.readiness(int(sqe.FD), sqe.OpFlags); re != 0 && re != sys.PollErr {
+					clk.Advance(m.PollPerFD)
+					u.complete(sqe.UserData, u.hostileRes(sqe, int32(re)), clk.Now())
+					continue
 				}
 			}
 			now := clk.Now()
@@ -256,10 +230,11 @@ func (u *uringKernel) complete(userData uint64, res int32, now uint64) {
 
 // Errno values surfaced through CQE results.
 const (
-	errnoEFAULT = -14
-	errnoEINVAL = -22
-	errnoEBADF  = -9
-	errnoEPIPE  = -32
+	errnoEFAULT    = -14
+	errnoEINVAL    = -22
+	errnoEBADF     = -9
+	errnoEPIPE     = -32
+	errnoECANCELED = -125
 )
 
 // execute performs one submitted operation in the worker's context. The
@@ -334,14 +309,11 @@ func (u *uringKernel) execute(sqe iouring.SQE, clk *vtime.Clock) int32 {
 		}
 		n, err := t.sock.Recv(buf, clk, true)
 		if err != nil {
-			if err == netstack.ErrReset {
-				return errnoEPIPE
-			}
 			return errnoEPIPE
 		}
 		return int32(n)
 	case iouring.OpPollAdd:
-		return u.pollAdd(sqe, obj, clk)
+		return u.pollAdd(sqe, clk)
 	case iouring.OpPollRemove:
 		// Cancel the armed poll whose user data is in Off.
 		u.pollMu.Lock()
@@ -366,40 +338,11 @@ func (u *uringKernel) execute(sqe iouring.SQE, clk *vtime.Clock) int32 {
 	}
 }
 
-// pollReadiness computes the immediate revents mask for a descriptor, or
-// a negative errno if the descriptor cannot be polled.
-func pollReadiness(sqe iouring.SQE, obj any) int32 {
-	var re uint32
-	switch o := obj.(type) {
-	case *udpObj:
-		if sqe.OpFlags&uint32(iouring.PollIn) != 0 && o.sock.Readable() {
-			re |= uint32(iouring.PollIn)
-		}
-		if sqe.OpFlags&uint32(iouring.PollOut) != 0 {
-			re |= uint32(iouring.PollOut)
-		}
-	case *tcpObj:
-		if o.sock == nil {
-			return errnoEBADF
-		}
-		if sqe.OpFlags&uint32(iouring.PollIn) != 0 && o.sock.Readable() {
-			re |= uint32(iouring.PollIn)
-		}
-		if sqe.OpFlags&uint32(iouring.PollOut) != 0 && !o.listener && o.sock.Writable() {
-			re |= uint32(iouring.PollOut)
-		}
-	case *File:
-		re = sqe.OpFlags & (uint32(iouring.PollIn) | uint32(iouring.PollOut))
-	default:
-		return errnoEBADF
-	}
-	return int32(re)
-}
-
 // pollAdd waits (in its own goroutine, like an armed io_uring poll)
-// until the descriptor is ready or the poll is cancelled by a
-// poll_remove, returning the revents mask.
-func (u *uringKernel) pollAdd(sqe iouring.SQE, obj any, clk *vtime.Clock) int32 {
+// until the descriptor is ready, returning the revents mask; a
+// poll_remove or the ring's shutdown ends the wait with -ECANCELED, and
+// the kernel-side wait expires with 0 after ten seconds.
+func (u *uringKernel) pollAdd(sqe iouring.SQE, clk *vtime.Clock) int32 {
 	cancel := make(chan struct{})
 	u.pollMu.Lock()
 	u.pollCancels[sqe.UserData] = cancel
@@ -409,22 +352,25 @@ func (u *uringKernel) pollAdd(sqe iouring.SQE, obj any, clk *vtime.Clock) int32 
 		delete(u.pollCancels, sqe.UserData)
 		u.pollMu.Unlock()
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		re := pollReadiness(sqe, obj)
-		if re != 0 {
-			if re > 0 {
-				clk.Advance(u.kern.Model.PollPerFD)
-			}
-			return re
-		}
-		if time.Now().After(deadline) {
-			return 0
-		}
+	var res int32
+	vtime.Until(10*time.Second, kernelPark, func(time.Duration) bool {
 		select {
+		case <-cancel:
 		case <-u.done:
-			return errnoEBADF
-		case <-time.After(50 * time.Microsecond):
+		default:
+			switch re := u.kern.readiness(int(sqe.FD), sqe.OpFlags); re {
+			case 0:
+				return false
+			case sys.PollErr:
+				res = errnoEBADF
+			default:
+				clk.Advance(u.kern.Model.PollPerFD)
+				res = int32(re)
+			}
+			return true
 		}
-	}
+		res = errnoECANCELED
+		return true
+	})
+	return res
 }

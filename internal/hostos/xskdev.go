@@ -271,56 +271,30 @@ func (x *xskKernel) processTX(clk *vtime.Clock) int {
 // socket's xTX ring (§4.3).
 func (p *Proc) XSKSendto(fd int, clk *vtime.Clock) (int, error) {
 	p.enter(clk)
-	obj, err := p.kern.lookupFD(fd)
+	x, err := lookupAs[*xskKernel](p.kern, fd, ErrNotSocket)
 	if err != nil {
 		return 0, err
 	}
-	x, ok := obj.(*xskKernel)
-	if !ok {
-		return 0, ErrNotSocket
-	}
-	if p.Counters != nil {
-		p.Counters.Wakeups.Add(1)
-	}
-	// Fault sites (b): the wakeup may be lost, deferred, or repeated.
-	inj := p.kern.Chaos
-	if inj.WakeDrop() {
-		return 0, nil
-	}
-	if d := inj.WakeDelay(); d > 0 {
-		at := clk.Now()
-		go func() {
-			time.Sleep(d)
-			var dclk vtime.Clock
-			dclk.Sync(at)
-			x.processTX(&dclk)
-		}()
-		return 0, nil
-	}
-	// The doorbell is paid above (p.enter, on the caller's clock); the
-	// frame drain runs in the queue's driver context. The driver cannot
-	// start before the doorbell rang, so its clock first catches up to
-	// the caller.
+	return wake(p, clk, x, (*xskKernel).sendto), nil
+}
+
+// sendto drains xTX for a doorbell rung at virtual time at. The doorbell
+// itself is paid by the caller (p.enter, on its clock); the frame drain
+// runs in the queue's driver context, which cannot start before the
+// doorbell rang, so its clock first catches up to the caller.
+func (x *xskKernel) sendto(at uint64) int {
 	x.txMu.Lock()
-	x.txClk.Sync(clk.Now())
+	x.txClk.Sync(at)
 	x.txMu.Unlock()
-	n := x.processTX(&x.txClk)
-	if inj.WakeDup() {
-		n += x.processTX(&x.txClk)
-	}
-	return n, nil
+	return x.processTX(&x.txClk)
 }
 
 // XSKTxClock exposes the queue's driver TX context clock so telemetry
 // can attach a probe — the drain work moved off the MM clock must stay
 // visible in the cycle accounting.
 func (p *Proc) XSKTxClock(fd int) *vtime.Clock {
-	obj, err := p.kern.lookupFD(fd)
+	x, err := lookupAs[*xskKernel](p.kern, fd, ErrNotSocket)
 	if err != nil {
-		return nil
-	}
-	x, ok := obj.(*xskKernel)
-	if !ok {
 		return nil
 	}
 	return &x.txClk
@@ -330,32 +304,11 @@ func (p *Proc) XSKTxClock(fd int) *vtime.Clock {
 // need-wakeup flag so the receive path resumes consuming fill entries.
 func (p *Proc) XSKRecvfrom(fd int, clk *vtime.Clock) error {
 	p.enter(clk)
-	obj, err := p.kern.lookupFD(fd)
+	x, err := lookupAs[*xskKernel](p.kern, fd, ErrNotSocket)
 	if err != nil {
 		return err
 	}
-	x, ok := obj.(*xskKernel)
-	if !ok {
-		return ErrNotSocket
-	}
-	if p.Counters != nil {
-		p.Counters.Wakeups.Add(1)
-	}
-	inj := p.kern.Chaos
-	if inj.WakeDrop() {
-		return nil
-	}
-	if d := inj.WakeDelay(); d > 0 {
-		go func() {
-			time.Sleep(d)
-			x.resumeRX()
-		}()
-		return nil
-	}
-	x.resumeRX()
-	if inj.WakeDup() {
-		x.resumeRX()
-	}
+	wake(p, clk, x, func(x *xskKernel, _ uint64) int { x.resumeRX(); return 0 })
 	return nil
 }
 
@@ -379,13 +332,9 @@ const pollInterval = 5 * time.Microsecond
 // the Monitor Module, so a mode switch never costs an enclave exit.
 func (p *Proc) XSKBusyPoll(fd int, on bool, clk *vtime.Clock) error {
 	p.enter(clk)
-	obj, err := p.kern.lookupFD(fd)
+	x, err := lookupAs[*xskKernel](p.kern, fd, ErrNotSocket)
 	if err != nil {
 		return err
-	}
-	x, ok := obj.(*xskKernel)
-	if !ok {
-		return ErrNotSocket
 	}
 	x.setBusyPoll(on)
 	return nil
@@ -395,12 +344,8 @@ func (p *Proc) XSKBusyPoll(fd int, on bool, clk *vtime.Clock) error {
 // telemetry layer can attach a probe: the spin burn must show up in the
 // cycle accounting, or busy-poll would look free.
 func (p *Proc) XSKPollClock(fd int) *vtime.Clock {
-	obj, err := p.kern.lookupFD(fd)
+	x, err := lookupAs[*xskKernel](p.kern, fd, ErrNotSocket)
 	if err != nil {
-		return nil
-	}
-	x, ok := obj.(*xskKernel)
-	if !ok {
 		return nil
 	}
 	return &x.pollClk

@@ -21,7 +21,6 @@ package iouring
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"rakis/internal/mem"
@@ -60,12 +59,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Poll event masks for OpPollAdd.
-const (
-	PollIn  uint32 = 1 << 0
-	PollOut uint32 = 1 << 2
-)
-
 // SQE is a submission-queue entry.
 type SQE struct {
 	Op       Op
@@ -74,7 +67,7 @@ type SQE struct {
 	Off      uint64
 	Addr     mem.Addr // untrusted buffer address (bounce buffer)
 	Len      uint32
-	OpFlags  uint32
+	OpFlags  uint32 // OpPollAdd: the interest mask, in netstack's poll bits
 	UserData uint64
 }
 
@@ -192,38 +185,98 @@ type Config struct {
 	Entries  uint32 // trusted ring size
 	Counters *vtime.Counters
 	Model    *vtime.Model
-	// WaitTimeout bounds how long Wait spins for one completion before
-	// giving up with ErrTimeout (availability failure; the host controls
-	// liveness, never integrity). Zero selects the default.
-	WaitTimeout time.Duration
 	// Waker is the escalation path for stalled completions; the zero
 	// value disables escalation.
 	Waker Waker
 }
 
-// DefaultWaitTimeout is the completion-wait bound when the configuration
-// does not specify one.
-const DefaultWaitTimeout = 10 * time.Second
-
-// Waker is how a Ring escalates when submitted work is provably sitting
-// unconsumed in iSub and no completion arrives (§4.3: the Monitor Module
-// is availability-critical but untrusted; losing its wakeups must cost
-// throughput, not correctness).
+// Waker is the lost-wakeup recovery ladder: how an enclave thread
+// escalates when work it published provably sits unconsumed (§4.3: the
+// Monitor Module is availability-critical but untrusted; losing its
+// wakeups must cost throughput, not correctness). It is the one
+// nudge/kick state machine, behind Ring.Wait, the submit ladder
+// (Escalate), the API submodule's poll aggregation and the XSK pump.
 //
 // The ladder has two rungs: Nudge rings a shared-memory doorbell asking
 // the MM to re-issue wakeup syscalls — exit-free, so a spurious nudge is
-// harmless. Kick issues io_uring_enter directly from the enclave thread —
-// a paid enclave exit, used only when nudging has not helped or the MM is
-// known dead.
+// harmless. Kick issues the wakeup syscall directly from the enclave
+// thread — a paid enclave exit, used only when nudging has not helped or
+// the MM is known dead.
 type Waker struct {
 	// Nudge requests an immediate forced MM sweep. May be nil.
 	Nudge func()
 	// Kick issues the wakeup syscall directly (one enclave exit). May be
 	// nil.
 	Kick func()
-	// Dead reports whether the MM has terminated, in which case Wait
-	// skips the nudge rung entirely. May be nil.
+	// Dead reports whether the MM has terminated, in which case the
+	// nudge rung is skipped entirely. May be nil.
 	Dead func() bool
+
+	ladder
+}
+
+// ladder is where one stall stands on the Waker's rungs. Times are wall
+// time since the stall was first stepped, as the waiter measures it.
+type ladder struct {
+	armed                      bool
+	seen, base                 time.Duration // last elapsed stepped; time banked from earlier waits
+	nudgeDue, kickDue, backoff time.Duration
+}
+
+// Ladder timing. Nudges are exit-free, so the first fires early and they
+// repeat with doubling backoff; Kick pays an enclave exit and waits far
+// past the kernel worker's own periodic scan so clean runs never pay it.
+const (
+	nudgeAfter = 2 * time.Millisecond
+	kickAfter  = 250 * time.Millisecond
+)
+
+// Step climbs the ladder for a stall the caller has now watched for
+// elapsed: the first nudge once it is nudgeAfter old, then nudges with
+// doubling backoff, a kick at kickAfter and every kickAfter after; with
+// the MM dead every step kicks at once. It reports whether a rung fired
+// (the caller counts the retry). The waiter's clock restarting — a new
+// wait on the same stall — continues the ladder rather than rewinding it.
+func (w *Waker) Step(elapsed time.Duration) bool {
+	if elapsed < w.seen {
+		w.base += w.seen
+	}
+	w.seen = elapsed
+	t := w.base + elapsed
+	if !w.armed {
+		w.armed, w.backoff = true, nudgeAfter
+		w.nudgeDue, w.kickDue = t+nudgeAfter, t+kickAfter
+	}
+	dead := w.Dead != nil && w.Dead()
+	switch {
+	case dead || t >= w.kickDue:
+		w.kickDue = t + kickAfter
+		return w.fire(true)
+	case t >= w.nudgeDue:
+		w.backoff *= 2
+		w.nudgeDue = t + w.backoff
+		return w.fire(false)
+	}
+	return false
+}
+
+// Reset takes the ladder back to the ground: nothing is pending any
+// more, so the next stall starts from its first rung.
+func (w *Waker) Reset() { w.ladder = ladder{} }
+
+// Escalate fires one rung now, whatever the time: the free nudge while
+// the Monitor Module lives, the paid kick once it is dead.
+func (w *Waker) Escalate() bool { return w.fire(w.Dead != nil && w.Dead()) }
+
+func (w *Waker) fire(kick bool) bool {
+	f := w.Nudge
+	if kick {
+		f = w.Kick
+	}
+	if f != nil {
+		f()
+	}
+	return f != nil
 }
 
 // Errors returned by the FM.
@@ -252,13 +305,12 @@ type Ring struct {
 	Sub   *ring.Ring
 	Compl *ring.Ring
 
-	fd          int
-	space       *mem.Space
-	model       *vtime.Model
-	counters    *vtime.Counters
-	trace       *telemetry.Buf
-	waitTimeout time.Duration
-	waker       Waker
+	fd       int
+	space    *mem.Space
+	model    *vtime.Model
+	counters *vtime.Counters
+	trace    *telemetry.Buf
+	waker    Waker
 
 	// wedged is set after a Wait exhausts the full timeout: the kernel
 	// side is presumed dead (a killed SQ worker never recovers), so
@@ -297,13 +349,9 @@ func Attach(cfg Config) (*Ring, error) {
 	if mem.Overlaps(cfg.Setup.SubBase, subBytes, cfg.Setup.ComplBase, complBytes) {
 		return nil, fmt.Errorf("%w: iSub overlaps iCompl", ErrSetup)
 	}
-	if cfg.WaitTimeout <= 0 {
-		cfg.WaitTimeout = DefaultWaitTimeout
-	}
 	r := &Ring{
 		fd: cfg.Setup.FD, space: cfg.Space, model: cfg.Model,
 		counters:    cfg.Counters,
-		waitTimeout: cfg.WaitTimeout,
 		waker:       cfg.Waker,
 		outstanding: make(map[uint64]SQE),
 		results:     make(map[uint64]result),
@@ -331,10 +379,6 @@ func Attach(cfg Config) (*Ring, error) {
 // FD returns the ring's file descriptor (used by the Monitor Module).
 func (r *Ring) FD() int { return r.fd }
 
-// SetWaker installs the escalation ladder after construction (the runtime
-// wires it once the Monitor Module watch exists).
-func (r *Ring) SetWaker(w Waker) { r.waker = w }
-
 // SetTrace attaches the owning thread's trace ring; ring traffic,
 // completions, and refusals are recorded on it. A nil buf disables.
 func (r *Ring) SetTrace(b *telemetry.Buf) { r.trace = b }
@@ -342,17 +386,10 @@ func (r *Ring) SetTrace(b *telemetry.Buf) { r.trace = b }
 // Counters returns the ring's counter sink (shared with the FM layer).
 func (r *Ring) Counters() *vtime.Counters { return r.counters }
 
-// Escalate fires one waker rung for a stalled submission ring: the free
-// nudge while the Monitor Module lives, the paid kick once it is dead.
-func (r *Ring) Escalate() {
-	if r.waker.Dead != nil && r.waker.Dead() && r.waker.Kick != nil {
-		r.waker.Kick()
-		return
-	}
-	if r.waker.Nudge != nil {
-		r.waker.Nudge()
-	}
-}
+// Waker returns the ring's lost-wakeup ladder, for the callers that wait
+// on the ring without Wait: the submit ladder escalates on every rung
+// and the poll aggregation steps it while its polls stay quiet.
+func (r *Ring) Waker() *Waker { return &r.waker }
 
 // placed rejects a run in which any SQE's buffer range touches enclave
 // memory. The host kernel is about to dereference those ranges, so RAKIS
@@ -580,13 +617,16 @@ func (r *Ring) Forget(token uint64) {
 // oracle (§5.1).
 func ResPlausibleForTest(req SQE, res int32) bool { return resPlausible(req, res) }
 
-// Escalation ladder timing for Wait. Nudges are exit-free, so the first
-// rung fires early; Kick pays an enclave exit and waits far past the
-// kernel worker's own periodic scan so clean runs never pay it.
+// The completion-wait bounds: waitTimeout for one completion, after
+// which the kernel side is presumed dead (availability failure; the host
+// controls liveness, never integrity) and later Waits give up after
+// wedgedTimeout. Wait yields for its first passes, then sleeps.
 const (
-	nudgeAfter = 2 * time.Millisecond
-	kickAfter  = 250 * time.Millisecond
+	waitTimeout   = 10 * time.Second
+	wedgedTimeout = 100 * time.Millisecond
 )
+
+var waitPark = vtime.Park{Spins: 64, Yield: true, Quantum: 20 * time.Microsecond}
 
 // Wait blocks until the completion for token arrives, validates it, and
 // returns its result (the SyncProxy path: the user expects synchronous
@@ -599,59 +639,29 @@ const (
 // known dead. A completion that never arrives within the wait timeout
 // surfaces as ErrTimeout: the host can always withhold service, but only
 // at an availability cost (§4.3).
-// wedgedTimeout replaces waitTimeout once a previous Wait has already
-// proven the kernel side unresponsive.
-const wedgedTimeout = 100 * time.Millisecond
-
-func (r *Ring) Wait(token uint64, clk *vtime.Clock) (int32, error) {
-	start := time.Now()
-	limit := r.waitTimeout
-	if r.wedged && limit > wedgedTimeout {
+func (r *Ring) Wait(token uint64, clk *vtime.Clock) (res int32, err error) {
+	limit := waitTimeout
+	if r.wedged {
 		limit = wedgedTimeout
 	}
-	deadline := start.Add(limit)
-	nudgeAt := start.Add(nudgeAfter)
-	kickAt := start.Add(kickAfter)
-	nudgeBackoff := nudgeAfter
-	spins := 0
-	for {
-		res, done, err := r.TryWait(token, clk)
-		if done {
-			r.wedged = false
-			return res, err
+	r.waker.Reset()
+	r.wedged = !vtime.Until(limit, waitPark, func(elapsed time.Duration) bool {
+		var done bool
+		if res, done, err = r.TryWait(token, clk); done {
+			return true
 		}
-		now := time.Now()
-		if r.unconsumedSub() {
-			mmDead := r.waker.Dead != nil && r.waker.Dead()
-			if mmDead || now.After(kickAt) {
-				if r.waker.Kick != nil {
-					r.waker.Kick()
-					if r.counters != nil {
-						r.counters.WakeupRetries.Add(1)
-					}
-				}
-				kickAt = now.Add(kickAfter)
-			} else if now.After(nudgeAt) && r.waker.Nudge != nil {
-				r.waker.Nudge()
-				if r.counters != nil {
-					r.counters.WakeupRetries.Add(1)
-				}
-				nudgeBackoff *= 2
-				nudgeAt = now.Add(nudgeBackoff)
-			}
+		if !r.unconsumedSub() {
+			r.waker.Reset()
+		} else if r.waker.Step(elapsed) && r.counters != nil {
+			r.counters.WakeupRetries.Add(1)
 		}
-		spins++
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(20 * time.Microsecond)
-		}
-		if now.After(deadline) {
-			r.wedged = true
-			delete(r.outstanding, token)
-			return 0, ErrTimeout
-		}
+		return false
+	})
+	if r.wedged {
+		delete(r.outstanding, token)
+		return 0, ErrTimeout
 	}
+	return res, err
 }
 
 // unconsumedSub reports whether iSub entries the FM published are still

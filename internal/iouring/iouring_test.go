@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"rakis/internal/mem"
+	"rakis/internal/netstack"
 	"rakis/internal/ring"
 	"rakis/internal/vtime"
 )
@@ -161,14 +162,14 @@ func TestForeignCompletionDiscarded(t *testing.T) {
 func TestForgetSilencesCompletion(t *testing.T) {
 	fm, kSub, kCompl, _, ctrs := pair(t, 8)
 	var clk vtime.Clock
-	tok, _ := fm.Submit(SQE{Op: OpPollAdd, FD: 1, OpFlags: PollIn}, &clk)
+	tok, _ := fm.Submit(SQE{Op: OpPollAdd, FD: 1, OpFlags: netstack.PollIn}, &clk)
 	fm.Forget(tok)
 	if fm.Outstanding() != 0 {
 		t.Fatal("forgotten token still outstanding")
 	}
 	// Its completion arrives later and is silently dropped — no
 	// violation counted (it is not hostile).
-	kernelAnswer(t, kSub, kCompl, int32(PollIn))
+	kernelAnswer(t, kSub, kCompl, int32(netstack.PollIn))
 	fm.Drain(&clk)
 	if ctrs.CQEViolations.Load() != 0 {
 		t.Fatal("abandoned completion must not count as a violation")
@@ -220,9 +221,9 @@ func TestResPlausibilityMatrix(t *testing.T) {
 		{OpWrite, 10, 5, true},
 		{OpSend, 10, 11, false},
 		{OpRecv, 0, 1, false},
-		{OpPollAdd, 0, int32(PollIn), true},
-		{OpPollAdd, 0, int32(PollOut), false}, // not requested
-		{OpPollAdd, 0, 0x18, true},            // ERR|HUP always allowed
+		{OpPollAdd, 0, int32(netstack.PollIn), true},
+		{OpPollAdd, 0, int32(netstack.PollOut), false}, // not requested
+		{OpPollAdd, 0, 0x18, true},                     // ERR|HUP always allowed
 		{OpNop, 0, 0, true},
 		{OpNop, 0, 1, false},
 		{OpFsync, 0, 0, true},
@@ -231,7 +232,7 @@ func TestResPlausibilityMatrix(t *testing.T) {
 		{Op(99), 0, 1, false},
 	}
 	for _, c := range cases {
-		got := resPlausible(SQE{Op: c.op, Len: c.l, OpFlags: uint32(PollIn)}, c.res)
+		got := resPlausible(SQE{Op: c.op, Len: c.l, OpFlags: uint32(netstack.PollIn)}, c.res)
 		if got != c.want {
 			t.Errorf("op=%v len=%d res=%d: got %v want %v", c.op, c.l, c.res, got, c.want)
 		}

@@ -422,15 +422,7 @@ func (t *Thread) Poll(fds []sys.PollFD, timeout time.Duration) (int, error) {
 	defer t.probe.End()
 	t.libosEntry()
 	t.ocall(0)
-	hfds := make([]hostos.PollFD, len(fds))
-	for i, f := range fds {
-		hfds[i] = hostos.PollFD{FD: f.FD, Events: f.Events}
-	}
-	n, err := t.p.proc.Poll(hfds, timeout, &t.clk)
-	for i := range fds {
-		fds[i].Revents = hfds[i].Revents
-	}
-	return n, err
+	return t.p.proc.Poll(fds, timeout, &t.clk)
 }
 
 // EpollCreate installs a host epoll instance.
@@ -457,12 +449,7 @@ func (t *Thread) EpollWait(epfd int, events []sys.EpollEvent, timeout time.Durat
 	defer t.probe.End()
 	t.libosEntry()
 	t.ocall(0)
-	hev := make([]hostos.EpollEvent, len(events))
-	n, err := t.p.proc.EpollWait(epfd, hev, timeout, &t.clk)
-	for i := 0; i < n; i++ {
-		events[i] = sys.EpollEvent{FD: hev[i].FD, Events: hev[i].Events}
-	}
-	return n, err
+	return t.p.proc.EpollWait(epfd, events, timeout, &t.clk)
 }
 
 // Close releases a descriptor.

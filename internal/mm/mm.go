@@ -103,18 +103,18 @@ type Monitor struct {
 
 	stop chan struct{}
 	done chan struct{}
-	// Interval is the real-time poll period of the monitor loop.
-	Interval time.Duration
 }
+
+// sweepInterval is the real-time poll period of the monitor loop.
+const sweepInterval = 5 * time.Microsecond
 
 // New creates a Monitor issuing syscalls through the given host process
 // (which runs outside the enclave: its syscalls are not exits).
 func New(proc *hostos.Proc) *Monitor {
 	m := &Monitor{
-		proc:     proc,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		Interval: 5 * time.Microsecond,
+		proc: proc,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	m.watches.Store(new([]*watch))
 	return m
@@ -188,7 +188,7 @@ func (m *Monitor) run() {
 			time.Sleep(d)
 		}
 		m.Sweep()
-		time.Sleep(m.Interval)
+		time.Sleep(sweepInterval)
 	}
 }
 

@@ -116,25 +116,13 @@ func (t *arpTable) learn(ip IP4, mac [6]byte) {
 	t.cond.Broadcast()
 }
 
-// waitFor blocks until ip resolves or the real-time deadline passes.
-func (t *arpTable) waitFor(ip IP4, deadline time.Time) ([6]byte, bool) {
+// waitFor blocks until ip resolves or d of real time passes.
+func (t *arpTable) waitFor(ip IP4, d time.Duration) (mac [6]byte, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	timedOut := false
-	timer := time.AfterFunc(time.Until(deadline), func() {
-		t.mu.Lock()
-		timedOut = true
-		t.mu.Unlock()
-		t.cond.Broadcast()
+	condWait(t.cond, d, func() bool {
+		mac, ok = t.entries[ip]
+		return ok
 	})
-	defer timer.Stop()
-	for {
-		if mac, ok := t.entries[ip]; ok {
-			return mac, true
-		}
-		if timedOut {
-			return [6]byte{}, false
-		}
-		t.cond.Wait()
-	}
+	return mac, ok
 }

@@ -28,6 +28,8 @@ package netstack
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"time"
 
 	"rakis/internal/mem"
 	"rakis/internal/vtime"
@@ -140,6 +142,38 @@ var (
 	// ErrMsgSize reports a datagram too large for the socket or link.
 	ErrMsgSize = errors.New("netstack: message too long")
 )
+
+// Poll event bits, as poll(2), epoll and io_uring's poll_add spell them.
+// This is their one definition: a socket's Ready answers in them, sys
+// re-exports them to applications, and an OpPollAdd SQE carries them.
+const (
+	PollIn  uint32 = 1 << 0
+	PollOut uint32 = 1 << 2
+	PollErr uint32 = 1 << 3
+)
+
+// condWait waits on cond, whose lock the caller holds, until pred holds
+// or d of real time passes; it reports whether pred held.
+func condWait(cond *sync.Cond, d time.Duration, pred func() bool) bool {
+	if pred() {
+		return true
+	}
+	timedOut := false
+	timer := time.AfterFunc(d, func() {
+		cond.L.Lock()
+		timedOut = true
+		cond.L.Unlock()
+		cond.Broadcast()
+	})
+	defer timer.Stop()
+	for !pred() {
+		if timedOut {
+			return false
+		}
+		cond.Wait()
+	}
+	return true
+}
 
 // checksum computes the Internet checksum (RFC 1071) over data, starting
 // from the given partial sum.

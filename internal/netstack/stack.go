@@ -247,7 +247,7 @@ func (s *Stack) resolve(dst IP4, clk *vtime.Clock) ([6]byte, error) {
 		if err := s.sendARP(Broadcast, req, clk); err != nil {
 			return [6]byte{}, err
 		}
-		if mac, ok := s.arp.waitFor(dst, time.Now().Add(200*time.Millisecond)); ok {
+		if mac, ok := s.arp.waitFor(dst, 200*time.Millisecond); ok {
 			return mac, nil
 		}
 	}

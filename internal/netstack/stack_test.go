@@ -213,7 +213,7 @@ func TestUDPNonblockingAndClose(t *testing.T) {
 	if _, err := srv.RecvFrom(&clk, false); !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("empty nonblocking recv = %v, want ErrWouldBlock", err)
 	}
-	if srv.Readable() {
+	if srv.Ready(PollIn) != 0 {
 		t.Fatal("Readable on empty socket")
 	}
 	recvDone := make(chan error, 1)
@@ -271,7 +271,7 @@ func TestCorruptUDPChecksumDropped(t *testing.T) {
 	frame := MarshalEth(EthHeader{Dst: [6]byte{2, 0, 0, 0, 0, 2}, Src: [6]byte{2, 0, 0, 0, 0, 1}, Type: EtherTypeIPv4}, ip)
 	var clk vtime.Clock
 	w.b.Input(frame, &clk)
-	if srv.Readable() {
+	if srv.Ready(PollIn) != 0 {
 		t.Fatal("corrupt-checksum datagram must be dropped")
 	}
 	// Zero checksum means "no checksum" and is accepted.
@@ -279,7 +279,7 @@ func TestCorruptUDPChecksumDropped(t *testing.T) {
 	ip = MarshalIPv4(IPv4Header{TTL: 64, Proto: ProtoUDP, Src: IP4{10, 0, 0, 1}, Dst: IP4{10, 0, 0, 2}}, dgram)
 	frame = MarshalEth(EthHeader{Dst: [6]byte{2, 0, 0, 0, 0, 2}, Src: [6]byte{2, 0, 0, 0, 0, 1}, Type: EtherTypeIPv4}, ip)
 	w.b.Input(frame, &clk)
-	if !srv.Readable() {
+	if srv.Ready(PollIn) == 0 {
 		t.Fatal("zero-checksum datagram must be accepted")
 	}
 }

@@ -530,9 +530,9 @@ func (s *Stack) TCPConnect(dst Addr, clk *vtime.Clock) (*TCPSocket, error) {
 	c.lastVTime.Store(clk.Now())
 	c.sendSegLocked(tcpSeg{flags: TCPFlagSYN, seq: iss}, clk)
 	c.armRTOLocked()
-	ok := c.waitLocked(func() bool {
+	ok := condWait(c.cond, connectTimeout, func() bool {
 		return c.state == stateEstablished || c.err != nil
-	}, connectTimeout)
+	})
 	err := c.err
 	state := c.state
 	c.mu.Unlock()
@@ -598,9 +598,9 @@ func (c *TCPSocket) Send(p []byte, clk *vtime.Clock) (int, error) {
 	total := 0
 	for len(p) > 0 {
 		c.mu.Lock()
-		ok := c.waitLocked(func() bool {
+		ok := condWait(c.cond, rtoMax*4, func() bool {
 			return c.err != nil || !c.stateSendableLocked() || len(c.sndBuf) < sndBufCap
-		}, rtoMax*4)
+		})
 		if c.err != nil {
 			err := c.err
 			c.mu.Unlock()
@@ -668,21 +668,28 @@ func (c *TCPSocket) Recv(p []byte, clk *vtime.Clock, block bool) (int, error) {
 	return n, nil
 }
 
-// Readable reports data, EOF, or a pending accept (poll support).
-func (c *TCPSocket) Readable() bool {
+// Ready reports which of the poll events hold on the socket now — the
+// one readiness rule behind poll, epoll, io_uring's poll_add and the
+// enclave aggregation. A listener is readable while its backlog holds a
+// connection and never writable; a connection is readable on data, EOF
+// or a pending error, writable while it is open with send-buffer space.
+func (c *TCPSocket) Ready(events uint32) uint32 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state == stateListen {
-		return len(c.backlog) > 0
+		if len(c.backlog) == 0 {
+			return 0
+		}
+		return events & PollIn
 	}
-	return len(c.rcvBuf) > 0 || c.rcvClosed || c.err != nil
-}
-
-// Writable reports send-buffer space on an open connection.
-func (c *TCPSocket) Writable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stateSendableLocked() && len(c.sndBuf) < sndBufCap
+	var re uint32
+	if len(c.rcvBuf) > 0 || c.rcvClosed || c.err != nil {
+		re = events & PollIn
+	}
+	if c.stateSendableLocked() && len(c.sndBuf) < sndBufCap {
+		re |= events & PollOut
+	}
+	return re
 }
 
 // LocalAddr returns the bound address.
@@ -756,31 +763,6 @@ func (c *TCPSocket) teardownLocked(err error) {
 }
 
 // --- internals ------------------------------------------------------------
-
-// waitLocked waits on the condition variable until pred holds or the
-// real-time duration elapses; it reports whether pred held.
-func (c *TCPSocket) waitLocked(pred func() bool, d time.Duration) bool {
-	if pred() {
-		return true
-	}
-	timedOut := false
-	timer := time.AfterFunc(d, func() {
-		c.mu.Lock()
-		timedOut = true
-		c.mu.Unlock()
-		c.cond.Broadcast()
-	})
-	defer timer.Stop()
-	for {
-		if pred() {
-			return true
-		}
-		if timedOut {
-			return false
-		}
-		c.cond.Wait()
-	}
-}
 
 // noteMAC caches the flow's reply MAC from a received frame's Ethernet
 // source. Cheap double-checked store: reads race only with one writer

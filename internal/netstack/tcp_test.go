@@ -256,10 +256,10 @@ func TestTCPNonblockingRecv(t *testing.T) {
 	if _, err := c.Recv(buf, &clk, false); !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("empty nonblocking recv = %v, want ErrWouldBlock", err)
 	}
-	if c.Readable() {
+	if c.Ready(PollIn) != 0 {
 		t.Fatal("Readable on empty connection")
 	}
-	if !c.Writable() {
+	if c.Ready(PollOut) == 0 {
 		t.Fatal("fresh connection must be writable")
 	}
 }
@@ -271,7 +271,7 @@ func TestTCPAcceptNonblocking(t *testing.T) {
 	if _, err := l.Accept(&clk, false); !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("empty accept = %v, want ErrWouldBlock", err)
 	}
-	if l.Readable() {
+	if l.Ready(PollIn) != 0 {
 		t.Fatal("listener with empty backlog must not be readable")
 	}
 	done := make(chan struct{})
@@ -283,7 +283,7 @@ func TestTCPAcceptNonblocking(t *testing.T) {
 		}
 	}()
 	<-done
-	for deadline := time.Now().Add(time.Second); !l.Readable(); time.Sleep(50 * time.Microsecond) {
+	for deadline := time.Now().Add(time.Second); l.Ready(PollIn) == 0; time.Sleep(50 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("listener must become readable after connect")
 		}

@@ -434,8 +434,15 @@ func (u *UDPSocket) RecvFrom(clk *vtime.Clock, block bool) (Datagram, error) {
 	}
 }
 
-// Readable reports whether a datagram is queued (poll support).
-func (u *UDPSocket) Readable() bool { return u.pending.Load() > 0 }
+// Ready reports which of the poll events hold on the socket now: it is
+// readable while a datagram is queued and always writable.
+func (u *UDPSocket) Ready(events uint32) uint32 {
+	re := events & PollOut
+	if u.pending.Load() > 0 {
+		re |= events & PollIn
+	}
+	return re
+}
 
 // QueueLen returns the number of queued datagrams across all shards.
 func (u *UDPSocket) QueueLen() int {

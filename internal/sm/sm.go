@@ -20,6 +20,7 @@ package sm
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -95,33 +96,24 @@ func (l *XskLink) ShardTx(i int) uint64 {
 // is the bottleneck, and the frame drops like a NIC queue overflow.
 const sendRetryMax = 8
 
-// txLadder is the full-ring recovery ladder one send climbs: reap
-// completions, sleep, double the sleep up to the shard's ceiling.
-type txLadder struct {
-	sock          *xsk.Socket
-	attempt       int
-	backoff, ceil time.Duration
-}
-
-func (l *XskLink) ladder(shard int) txLadder {
-	ld := txLadder{sock: l.socks[shard], backoff: 10 * time.Microsecond, ceil: 320 * time.Microsecond}
-	if shard < len(l.shardTuning) && l.shardTuning[shard].BusyPoll() {
-		ld.ceil = 20 * time.Microsecond
+// ladder returns the full-ring recovery ladder one send on the lane
+// climbs: sendRetryMax rungs doubling from 10 µs up to the lane's ceiling.
+func (l *XskLink) ladder(lane int) vtime.Backoff {
+	ceil := 320 * time.Microsecond
+	if lane < len(l.shardTuning) && l.shardTuning[lane].BusyPoll() {
+		ceil = 20 * time.Microsecond
 	}
-	return ld
+	return vtime.NewBackoff(10*time.Microsecond, ceil, sendRetryMax)
 }
 
-// step climbs one rung, reporting false once sendRetryMax are spent.
-func (ld *txLadder) step(clk *vtime.Clock) bool {
-	if ld.attempt >= sendRetryMax {
+// step climbs one rung — reap the socket's completions, sleep — and
+// reports false once the rungs are spent.
+func step(ld *vtime.Backoff, s *xsk.Socket, clk *vtime.Clock) bool {
+	if !ld.More() {
 		return false
 	}
-	ld.attempt++
-	ld.sock.Reap(clk)
-	time.Sleep(ld.backoff)
-	if ld.backoff < ld.ceil {
-		ld.backoff *= 2
-	}
+	s.Reap(clk)
+	ld.Sleep()
 	return true
 }
 
@@ -137,7 +129,7 @@ func (l *XskLink) Lend(lane, size int, bufs []mem.TxBuf, clk *vtime.Clock) (int,
 		if n := s.Lend(bufs, clk); n > 0 {
 			return n, nil
 		}
-		if !ld.step(clk) {
+		if !step(&ld, s, clk) {
 			return 0, xsk.ErrNoFrame
 		}
 	}
@@ -159,7 +151,7 @@ func (l *XskLink) Publish(lane int, bufs []mem.TxBuf, clk *vtime.Clock) (int, er
 		if sent += n; sent == len(bufs) {
 			return sent, nil
 		}
-		if (err != nil && err != xsk.ErrRingFull) || !ld.step(clk) {
+		if (err != nil && err != xsk.ErrRingFull) || !step(&ld, s, clk) {
 			s.Abort(bufs[sent:])
 			if err == nil {
 				err = xsk.ErrRingFull
@@ -185,13 +177,13 @@ func (l *XskLink) SpliceFrame(v *mem.View, n uint32, clk *vtime.Clock) error {
 	if shard < 0 {
 		return fmt.Errorf("sm: view not backed by an XSK socket of this link")
 	}
-	ld := l.ladder(shard)
+	s, ld := l.socks[shard], l.ladder(shard)
 	for {
-		err := ld.sock.SpliceFrame(v, n, clk)
+		err := s.SpliceFrame(v, n, clk)
 		if err == nil {
 			l.txPkts[shard].Add(1)
 		}
-		if err != xsk.ErrRingFull || !ld.step(clk) {
+		if err != xsk.ErrRingFull || !step(&ld, s, clk) {
 			return err
 		}
 	}
@@ -299,9 +291,10 @@ type PollSource struct {
 	// listener; a listener's readability is backlog occupancy).
 	TCP *netstack.TCPSocket
 	// HostFD is a host descriptor (TCP socket or file), used when UDP
-	// and TCP are nil.
+	// and TCP are nil. A negative HostFD is a descriptor the caller could
+	// not resolve: it reports PollErr at once and never reaches the FM.
 	HostFD int
-	// Events is the interest mask (PollIn/PollOut as in iouring).
+	// Events is the interest mask, in netstack's poll bits.
 	Events uint32
 	// Revents receives the ready mask.
 	Revents uint32
@@ -345,6 +338,9 @@ func Poll(srcs []PollSource, timeout time.Duration, sp *SyncProxy, model *vtime.
 	return PollCached(srcs, timeout, sp, model, clk, nil)
 }
 
+// pollPark is the aggregation's parking: a sleep per quiet pass.
+var pollPark = vtime.Park{Quantum: 20 * time.Microsecond}
+
 // PollCached is Poll with an optional armed-poll cache: with a cache,
 // un-fired polls stay armed across calls instead of being cancelled.
 func PollCached(srcs []PollSource, timeout time.Duration, sp *SyncProxy, model *vtime.Model, clk *vtime.Clock, cache *PollCache) (int, error) {
@@ -363,18 +359,11 @@ func PollCached(srcs []PollSource, timeout time.Duration, sp *SyncProxy, model *
 	// descriptors cost one producer publish and at most one MM wakeup.
 	tokens := make([]uint64, len(srcs))
 	armed := make([]bool, len(srcs))
-	arm := func(i int) error {
-		clk.Charge(vtime.CompAPI, model.PollPerFD)
-		tok, err := sp.FM.SubmitPoll(srcs[i].HostFD, srcs[i].Events, clk)
-		if err != nil {
-			return err
-		}
-		tokens[i] = tok
-		armed[i] = true
+	setArm := func(i int, tok uint64) {
+		tokens[i], armed[i] = tok, true
 		if cache != nil {
 			cache.armed[srcs[i].HostFD] = pollArm{token: tok, events: srcs[i].Events}
 		}
-		return nil
 	}
 	cancelRest := func() {
 		if cache != nil {
@@ -391,6 +380,10 @@ func PollCached(srcs []PollSource, timeout time.Duration, sp *SyncProxy, model *
 		srcs[i].Revents = 0
 		if srcs[i].UDP != nil || srcs[i].TCP != nil {
 			clk.Charge(vtime.CompAPI, model.PollPerFD)
+			continue
+		}
+		if srcs[i].HostFD < 0 {
+			srcs[i].Revents = netstack.PollErr
 			continue
 		}
 		if cache != nil {
@@ -414,12 +407,7 @@ func PollCached(srcs []PollSource, timeout time.Duration, sp *SyncProxy, model *
 		}
 		toks, err := sp.FM.SubmitPollN(reqs, clk)
 		for j := range toks {
-			i := needArm[j]
-			tokens[i] = toks[j]
-			armed[i] = true
-			if cache != nil {
-				cache.armed[srcs[i].HostFD] = pollArm{token: toks[j], events: srcs[i].Events}
-			}
+			setArm(needArm[j], toks[j])
 		}
 		if err != nil {
 			// A partial arm: the armed prefix must not outlive the call,
@@ -433,109 +421,65 @@ func PollCached(srcs []PollSource, timeout time.Duration, sp *SyncProxy, model *
 	// the completion of an already-ready descriptor takes a Monitor
 	// Module sweep plus the SQ worker. Bound that wait instead of
 	// reporting a false not-ready.
-	anyArmed := false
-	for i := range srcs {
-		if armed[i] {
-			anyArmed = true
-		}
-	}
+	anyArmed := slices.Contains(armed, true)
 	if timeout == 0 && anyArmed {
 		timeout = time.Millisecond
 	}
-	var deadline time.Time
-	if timeout >= 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	// Escalation for the spin: TryPoll never blocks, so unlike Wait it has
-	// no built-in nudge ladder — yet a completion the kernel already
-	// posted can be hidden behind a scribbled producer cell, and an idle
-	// kernel makes no store that would heal it. Periodically force a
-	// consumption wakeup so the kernel republishes its indices.
-	lastEscalate := time.Now()
-	for {
-		n := 0
+	n := 0
+	vtime.Until(timeout, pollPark, func(elapsed time.Duration) bool {
+		n = 0
 		for i := range srcs {
-			if srcs[i].Revents != 0 {
-				n++
-				continue
-			}
-			if srcs[i].UDP != nil {
-				if srcs[i].Events&PollIn != 0 && srcs[i].UDP.Readable() {
-					srcs[i].Revents |= PollIn
-				}
-				if srcs[i].Events&PollOut != 0 {
-					srcs[i].Revents |= PollOut // enclave UDP is always writable
-				}
-				if srcs[i].Revents != 0 {
-					n++
-				}
-				continue
-			}
-			if srcs[i].TCP != nil {
-				if srcs[i].Events&PollIn != 0 && srcs[i].TCP.Readable() {
-					srcs[i].Revents |= PollIn
-				}
-				if srcs[i].Events&PollOut != 0 && srcs[i].TCP.Writable() {
-					srcs[i].Revents |= PollOut
-				}
-				if srcs[i].Revents != 0 {
-					n++
-				}
-				continue
-			}
-			if armed[i] {
+			s := &srcs[i]
+			switch {
+			case s.Revents != 0:
+			case s.UDP != nil:
+				s.Revents = s.UDP.Ready(s.Events)
+			case s.TCP != nil:
+				s.Revents = s.TCP.Ready(s.Events)
+			case armed[i]:
 				res, done, err := sp.FM.TryPoll(tokens[i], clk)
-				if err != nil {
-					srcs[i].Revents |= PollErr
-					armed[i] = false
-					if cache != nil {
-						delete(cache.armed, srcs[i].HostFD)
-					}
-					n++
+				if !done && err == nil {
 					continue
 				}
-				if done {
-					armed[i] = false
-					if cache != nil {
-						delete(cache.armed, srcs[i].HostFD)
+				armed[i] = false
+				if cache != nil {
+					delete(cache.armed, s.HostFD)
+				}
+				switch {
+				case err == nil && res > 0:
+					s.Revents = uint32(res)
+				case err == nil && res == 0:
+					// The kernel-side wait expired; re-arm.
+					clk.Charge(vtime.CompAPI, model.PollPerFD)
+					if tok, err := sp.FM.SubmitPoll(s.HostFD, s.Events, clk); err == nil {
+						setArm(i, tok)
+						break
 					}
-					if res > 0 {
-						srcs[i].Revents = uint32(res)
-						n++
-					} else if res == 0 {
-						// The kernel-side wait expired; re-arm.
-						arm(i)
-					} else {
-						// The kernel refused to poll this descriptor
-						// (closed fd, hostile errno): report it, as epoll
-						// reports EPOLLERR — swallowing it would leave the
-						// descriptor silently unwatched for the rest of
-						// this wait.
-						srcs[i].Revents |= PollErr
-						n++
-					}
+					fallthrough
+				default:
+					// The completion was refused, the kernel refused to
+					// poll this descriptor (closed fd, hostile errno) or
+					// the re-arm found no room in iSub: report it, as
+					// epoll reports EPOLLERR — swallowing it would leave
+					// the descriptor silently unwatched for the rest of
+					// this wait.
+					s.Revents = netstack.PollErr
 				}
 			}
+			if s.Revents != 0 {
+				n++
+			}
 		}
-		if n > 0 {
-			cancelRest()
-			return n, nil
+		// TryPoll never blocks, so unlike Wait it climbs no ladder of its
+		// own — yet a completion the kernel already posted can be hidden
+		// behind a scribbled producer cell, and an idle kernel makes no
+		// store that would heal it. Step the ring's ladder while the
+		// polls stay quiet so the kernel republishes its indices.
+		if n == 0 && anyArmed {
+			sp.FM.Escalate(elapsed)
 		}
-		if timeout == 0 || (!deadline.IsZero() && time.Now().After(deadline)) {
-			cancelRest()
-			return 0, nil
-		}
-		if anyArmed && time.Since(lastEscalate) >= 2*time.Millisecond {
-			sp.FM.Escalate()
-			lastEscalate = time.Now()
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
+		return n > 0
+	})
+	cancelRest()
+	return n, nil
 }
-
-// Poll event bits, re-exported for API users.
-const (
-	PollIn  = uint32(1) << 0
-	PollOut = uint32(1) << 2
-	PollErr = uint32(1) << 3
-)

@@ -144,8 +144,8 @@ func TestPollAggregatesUDPAndHost(t *testing.T) {
 
 	// Host file is immediately ready.
 	srcs := []PollSource{
-		{UDP: usock, Events: PollIn},
-		{HostFD: ffd, Events: PollIn | PollOut},
+		{UDP: usock, Events: netstack.PollIn},
+		{HostFD: ffd, Events: netstack.PollIn | netstack.PollOut},
 	}
 	n, err := Poll(srcs, 2*time.Second, f.proxy, nil, &f.clk)
 	if err != nil || n != 1 {
@@ -162,9 +162,9 @@ func TestPollAggregatesUDPAndHost(t *testing.T) {
 		frame := buildUDPFrame(netstack.IP4{10, 0, 0, 1}, netstack.IP4{10, 9, 9, 9}, 1234, 9, []byte("wake"))
 		encl.Input(frame, &clk)
 	}()
-	srcs = []PollSource{{UDP: usock, Events: PollIn}}
+	srcs = []PollSource{{UDP: usock, Events: netstack.PollIn}}
 	n, err = Poll(srcs, 2*time.Second, f.proxy, nil, &f.clk)
-	if err != nil || n != 1 || srcs[0].Revents&PollIn == 0 {
+	if err != nil || n != 1 || srcs[0].Revents&netstack.PollIn == 0 {
 		t.Fatalf("udp poll = %d %v %v", n, err, srcs[0].Revents)
 	}
 
@@ -736,7 +736,7 @@ func TestPollCancelsPartialArm(t *testing.T) {
 	before := ringFM.Outstanding()
 	srcs := make([]PollSource, entries+2)
 	for i := range srcs {
-		srcs[i] = PollSource{HostFD: 10 + i, Events: PollIn}
+		srcs[i] = PollSource{HostFD: 10 + i, Events: netstack.PollIn}
 	}
 	var clk vtime.Clock
 	if _, err := Poll(srcs, 0, proxy, nil, &clk); !errors.Is(err, iouring.ErrFull) {
@@ -746,3 +746,115 @@ func TestPollCancelsPartialArm(t *testing.T) {
 		t.Fatalf("%d polls still outstanding after the failed Poll, want %d", got, before)
 	}
 }
+
+// bareProxy is a SyncProxy over an io_uring no kernel serves, plus the
+// kernel-side ring handles a test scripts by hand.
+func bareProxy(t *testing.T, entries uint32) (proxy *SyncProxy, kSub, kCompl *ring.Ring) {
+	t.Helper()
+	sp := mem.NewSpace(1<<16, 1<<20)
+	setup := iouring.Setup{FD: 3}
+	var err error
+	if setup.SubBase, err = sp.Alloc(mem.Untrusted, ring.TotalBytes(entries, iouring.SQEBytes), 64); err != nil {
+		t.Fatal(err)
+	}
+	if setup.ComplBase, err = sp.Alloc(mem.Untrusted, ring.TotalBytes(entries, iouring.CQEBytes), 64); err != nil {
+		t.Fatal(err)
+	}
+	ringFM, err := iouring.Attach(iouring.Config{Space: sp, Entries: entries, Setup: setup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ufm, err := fm.NewUringFM(ringFM, sp, nil, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kSub, err = ring.New(ring.Config{Space: sp, Access: mem.RoleHost, Base: setup.SubBase,
+		Size: entries, EntrySize: iouring.SQEBytes, Side: ring.Consumer}); err != nil {
+		t.Fatal(err)
+	}
+	if kCompl, err = ring.New(ring.Config{Space: sp, Access: mem.RoleHost, Base: setup.ComplBase,
+		Size: entries, EntrySize: iouring.CQEBytes, Side: ring.Producer}); err != nil {
+		t.Fatal(err)
+	}
+	return NewSyncProxy(ufm, nil), kSub, kCompl
+}
+
+// TestPollReportsARefusedRearm: the kernel-side wait of an armed poll
+// expires (completion 0) while iSub is full and stays full past the
+// submit ladder, so the re-arm is refused. The descriptor is then watched
+// by nothing: Poll must report it PollErr, as it does a poll the kernel
+// refused, not wait out its timeout in silence.
+func TestPollReportsARefusedRearm(t *testing.T) {
+	proxy, kSub, kCompl := bareProxy(t, 2)
+	var clk vtime.Clock
+	// One SQE nobody consumes or completes; the poll then fills iSub.
+	if _, err := proxy.FM.Ring().Submit(iouring.SQE{Op: iouring.OpNop}, &clk); err != nil {
+		t.Fatal(err)
+	}
+	// The scripted kernel: once the poll is in iSub, complete it with 0 —
+	// and never consume a thing, so the ring stays full.
+	stop, done := make(chan struct{}), make(chan struct{})
+	t.Cleanup(func() { close(stop); <-done })
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if avail, _ := kSub.Available(); avail < 2 {
+				time.Sleep(20 * time.Microsecond)
+				continue
+			}
+			slot, _ := kSub.SlotBytes(1)
+			cslot, _ := kCompl.SlotBytes(0)
+			iouring.PutCQE(cslot, iouring.CQE{UserData: iouring.GetSQE(slot).UserData, Res: 0})
+			kCompl.Submit(1, 0)
+			return
+		}
+	}()
+	srcs := []PollSource{{HostFD: 5, Events: netstack.PollIn}}
+	start := time.Now()
+	n, err := Poll(srcs, 2*time.Second, proxy, nil, &clk)
+	if err != nil || n != 1 || srcs[0].Revents != netstack.PollErr {
+		t.Fatalf("Poll = %d, %v with revents %#x after %v; want 1, nil, PollErr",
+			n, err, srcs[0].Revents, time.Since(start))
+	}
+}
+
+// TestPollOverEnclaveSocketsAllocs pins the heap cost of one aggregation
+// pass over enclave sockets — what every epoll_wait of an in-enclave TCP
+// server pays: the wait helper's closure must not escape.
+func TestPollOverEnclaveSocketsAllocs(t *testing.T) {
+	proxy, _, _ := bareProxy(t, 8)
+	encl, err := netstack.New(netstack.Config{Name: "encl", Dev: sinkLink{}, IP: netstack.IP4{10, 9, 9, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet, err := encl.UDPBind(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready, err := encl.UDPBind(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clk vtime.Clock
+	encl.Input(buildUDPFrame(netstack.IP4{10, 0, 0, 1}, netstack.IP4{10, 9, 9, 9}, 1234, 10, []byte("x")), &clk)
+	srcs := []PollSource{{UDP: quiet, Events: netstack.PollIn}, {UDP: ready, Events: netstack.PollIn}}
+	cache := NewPollCache()
+	allocs := testing.AllocsPerRun(100, func() {
+		if n, err := PollCached(srcs, -1, proxy, nil, &clk, cache); n != 1 || err != nil {
+			t.Fatalf("PollCached = %d, %v", n, err)
+		}
+	})
+	if allocs > pollEnclaveAllocs && !raceDetectorEnabled {
+		t.Fatalf("PollCached over two enclave sockets allocates %v objects, want <= %d", allocs, pollEnclaveAllocs)
+	}
+}
+
+// pollEnclaveAllocs is what that pass cost before the wait loops were
+// folded into vtime.Until (measured at 2e187a5): the token and armed
+// slices.
+const pollEnclaveAllocs = 2

@@ -36,14 +36,16 @@ const (
 	OTrunc  = 1 << 9
 )
 
-// Poll events.
+// Poll events (netstack defines the bits; its sockets answer in them).
 const (
-	PollIn  uint32 = 1 << 0
-	PollOut uint32 = 1 << 2
-	PollErr uint32 = 1 << 3
+	PollIn  = netstack.PollIn
+	PollOut = netstack.PollOut
+	PollErr = netstack.PollErr
 )
 
-// PollFD is one poll slot.
+// PollFD is one poll slot; Revents is filled on return. It, EpollEvent
+// and the ctl ops below are defined here only: the host kernel and the
+// LibOS use them by alias, so no layer converts between twins.
 type PollFD struct {
 	FD      int
 	Events  uint32

@@ -810,6 +810,15 @@ func (rt *Runtime) attachUring(clk *vtime.Clock) (*fm.UringFM, error) {
 	ring, err := iouring.Attach(iouring.Config{
 		Space: rt.kern.Space, Setup: setup, Entries: rt.cfg.UringEntries,
 		Counters: rt.cfg.Counters, Model: rt.cfg.Model,
+		Waker: iouring.Waker{
+			Nudge: rt.mon.Nudge,
+			Dead:  rt.mon.Dead,
+			Kick: func() {
+				var kclk vtime.Clock
+				rt.hostProc.IoUringEnter(setup.FD, &kclk)
+				rt.fallbackExit(1)
+			},
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -821,15 +830,6 @@ func (rt *Runtime) attachUring(clk *vtime.Clock) (*fm.UringFM, error) {
 	if err := rt.mon.WatchUring(rt.kern.Space, setup); err != nil {
 		return nil, err
 	}
-	ring.SetWaker(iouring.Waker{
-		Nudge: rt.mon.Nudge,
-		Dead:  rt.mon.Dead,
-		Kick: func() {
-			var kclk vtime.Clock
-			rt.hostProc.IoUringEnter(setup.FD, &kclk)
-			rt.fallbackExit(1)
-		},
-	})
 	rt.mu.Lock()
 	rt.uringFDs = append(rt.uringFDs, setup.FD)
 	rt.mu.Unlock()

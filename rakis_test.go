@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rakis"
 	"rakis/internal/experiments"
 	"rakis/internal/netstack"
 	"rakis/internal/sys"
@@ -342,6 +343,42 @@ func TestRakisCrossProviderPoll(t *testing.T) {
 	n, err = srv.Poll(fds, 50*time.Millisecond)
 	if err != nil || n != 0 {
 		t.Fatalf("empty poll = %d, %v; want timeout 0", n, err)
+	}
+}
+
+// TestPollBadFDNeverReachesTheFM: a descriptor the runtime does not know
+// is reported PollErr at once and counted, like POLLNVAL — and is never
+// armed as an io_uring poll on whatever host descriptor a zero value
+// happens to name.
+func TestPollBadFDNeverReachesTheFM(t *testing.T) {
+	w := newWorld(t, experiments.RakisSGX, nil)
+	srv, err := w.ServerThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ufd, _ := srv.Socket(sys.UDP)
+	srv.Bind(ufd, 7004)
+	ops, inFlight := w.Counters.IoUringOps.Load(), srv.(*rakis.Thread).OutstandingForTest()
+	fds := []sys.PollFD{
+		{FD: 12345, Events: sys.PollIn},
+		{FD: ufd, Events: sys.PollIn, Revents: sys.PollOut}, // stale: must be cleared
+	}
+	start := time.Now()
+	n, err := srv.Poll(fds, 2*time.Second)
+	if got := w.Counters.IoUringOps.Load(); got != ops {
+		t.Fatalf("the poll submitted %d io_uring operations", got-ops)
+	}
+	if got := srv.(*rakis.Thread).OutstandingForTest(); got != inFlight {
+		t.Fatalf("%d requests in flight after the poll, %d before", got, inFlight)
+	}
+	if err != nil || n != 1 {
+		t.Fatalf("poll = %d, %v, want the bad descriptor counted", n, err)
+	}
+	if fds[0].Revents != sys.PollErr || fds[1].Revents != 0 {
+		t.Fatalf("revents = %#x/%#x, want PollErr/0", fds[0].Revents, fds[1].Revents)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("a poll with a bad descriptor waited %v", el)
 	}
 }
 

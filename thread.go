@@ -435,7 +435,7 @@ func (t *Thread) Recv(fd int, p []byte, block bool) (int, error) {
 	if !block {
 		// The io_uring recv path is blocking; emulate non-blocking via a
 		// zero-timeout poll first, as the API submodule does.
-		srcs := []sm.PollSource{{HostFD: e.host, Events: sm.PollIn}}
+		srcs := []sm.PollSource{{HostFD: e.host, Events: sys.PollIn}}
 		n, err := sm.Poll(srcs, 0, t.proxy, t.rt.cfg.Model, clk)
 		if err != nil {
 			return 0, err
@@ -545,31 +545,22 @@ func (t *Thread) Poll(fds []sys.PollFD, timeout time.Duration) (int, error) {
 	defer t.probe.End()
 	srcs := make([]sm.PollSource, len(fds))
 	for i, f := range fds {
-		e, ok := t.rt.lookup(f.FD)
-		if !ok {
-			fds[i].Revents = sys.PollErr
-			continue
-		}
-		srcs[i].Events = f.Events
-		switch e.kind {
-		case kindUDP:
-			srcs[i].UDP = e.udp
-		case kindTCP:
-			if e.tcp == nil {
-				fds[i].Revents = sys.PollErr
-				continue
+		srcs[i] = sm.PollSource{HostFD: -1, Events: f.Events} // until resolved: a bad fd
+		if e, ok := t.rt.lookup(f.FD); ok {
+			switch e.kind {
+			case kindUDP:
+				srcs[i].UDP = e.udp
+			case kindTCP:
+				srcs[i].TCP = e.tcp // nil while unconnected: stays a bad fd
+			default:
+				srcs[i].HostFD = e.host
 			}
-			srcs[i].TCP = e.tcp
-		default:
-			srcs[i].HostFD = e.host
 		}
 	}
 	clk := t.lt.Clock()
 	n, err := sm.PollCached(srcs, timeout, t.proxy, t.rt.cfg.Model, clk, t.pollCache)
 	for i := range fds {
-		if srcs[i].Revents != 0 {
-			fds[i].Revents = srcs[i].Revents
-		}
+		fds[i].Revents = srcs[i].Revents
 	}
 	return n, err
 }

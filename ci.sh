@@ -157,12 +157,12 @@ find ./internal/tm -name '*.go' -not -name '*_test.go' -not -path './bench/*' -n
 echo "==> wall-clock census: time.Now/Sleep/After/NewTicker/NewTimer/AfterFunc/Since sites in non-test Go outside bench/ and examples/"
 census=$(grep -rn 'time\.\(Now\|Sleep\|After\|NewTicker\|NewTimer\|AfterFunc\|Since\)' --include='*.go' . | grep -v _test.go | grep -v '^./bench/' | grep -v '^./examples/' | wc -l)
 echo "$census"
-if [ "$census" -gt 62 ]; then
-	echo "ci: wall-clock census rose to $census (ratchet: 62); wait through internal/vtime/wait.go" >&2
+if [ "$census" -gt 58 ]; then
+	echo "ci: wall-clock census rose to $census (ratchet: 58); wait through internal/vtime/wait.go" >&2
 	exit 1
 fi
-if grep -n 'time\.\(Sleep\|After\)' internal/fm/*.go internal/sm/*.go internal/iouring/*.go \
-    internal/hostos/epoll.go internal/hostos/syscall.go | grep -v '_test\.go:'; then
+if grep -n 'time\.\(Sleep\|After\)' internal/fm/*.go internal/sm/*.go internal/iouring/*.go internal/mm/*.go \
+    internal/hostos/epoll.go internal/hostos/syscall.go internal/hostos/uring.go | grep -v '_test\.go:'; then
 	echo "ci: the datapath sleeps only through internal/vtime/wait.go" >&2
 	exit 1
 fi

@@ -348,15 +348,6 @@ func (in *Injector) randN(n int64) int64 {
 // WakeDrop reports whether this wakeup syscall should be swallowed.
 func (in *Injector) WakeDrop() bool { return in.roll(SiteWakeDrop) }
 
-// WakeDelay returns how long to defer delivery of this wakeup (zero:
-// deliver immediately).
-func (in *Injector) WakeDelay() time.Duration {
-	if !in.roll(SiteWakeDelay) || in.profile.DelayMax <= 0 {
-		return 0
-	}
-	return time.Duration(in.randN(int64(in.profile.DelayMax)))
-}
-
 // WakeDup reports whether this wakeup should be delivered twice.
 func (in *Injector) WakeDup() bool { return in.roll(SiteWakeDup) }
 
@@ -385,29 +376,43 @@ func (in *Injector) CQERes(reqLen uint32) (int32, bool) {
 	return classes[in.randN(int64(len(classes)))], true
 }
 
+// --- stalls and delays ---
+
+// Span is how long one injected stall or delay lasts; zero is none.
+type Span time.Duration
+
+// Stall consults a stall or delay site — SiteWakeDelay (bounded by the
+// profile's DelayMax), SiteWorkerStall, SiteSoftirqStall or SiteMMStall
+// (bounded by StallMax) — and returns the span it drew: zero when the
+// site did not fire or its bound is zero.
+func (in *Injector) Stall(s Site) Span {
+	if !in.roll(s) {
+		return 0
+	}
+	bound := in.profile.StallMax
+	if s == SiteWakeDelay {
+		bound = in.profile.DelayMax
+	}
+	if bound <= 0 {
+		return 0
+	}
+	return Span(in.randN(int64(bound)))
+}
+
+// Sleep performs the span: the faulted thread is frozen for its length.
+// A zero span, every call with chaos off, returns without a runtime call.
+func (d Span) Sleep() {
+	if d > 0 {
+		time.Sleep(time.Duration(d))
+	}
+}
+
 // --- kernel worker hooks ---
-
-// WorkerStall returns how long the io_uring worker should freeze (zero:
-// keep running).
-func (in *Injector) WorkerStall() time.Duration { return in.stall(SiteWorkerStall) }
-
-// SoftirqStall returns how long a NIC softirq worker should freeze.
-func (in *Injector) SoftirqStall() time.Duration { return in.stall(SiteSoftirqStall) }
 
 // WorkerKill reports whether the io_uring worker should terminate.
 func (in *Injector) WorkerKill() bool { return in.roll(SiteWorkerKill) }
 
-func (in *Injector) stall(s Site) time.Duration {
-	if !in.roll(s) || in.profile.StallMax <= 0 {
-		return 0
-	}
-	return time.Duration(in.randN(int64(in.profile.StallMax)))
-}
-
 // --- Monitor Module hooks ---
-
-// MMStall returns how long the MM loop should freeze this iteration.
-func (in *Injector) MMStall() time.Duration { return in.stall(SiteMMStall) }
 
 // MMKillNow reports, exactly once, that the MM should die (profile's
 // MMKillAfter elapsed).

@@ -108,7 +108,7 @@ func TestChaosSeedReplay(t *testing.T) {
 	a := chaos.New(p, 42, nil, nil)
 	b := chaos.New(p, 42, nil, nil)
 	for i := 0; i < 10000; i++ {
-		if a.WakeDrop() != b.WakeDrop() || a.WakeDelay() != b.WakeDelay() || a.WakeDup() != b.WakeDup() {
+		if a.WakeDrop() != b.WakeDrop() || a.Stall(chaos.SiteWakeDelay) != b.Stall(chaos.SiteWakeDelay) || a.WakeDup() != b.WakeDup() {
 			t.Fatalf("fault streams diverged at consultation %d", i)
 		}
 	}
@@ -132,7 +132,7 @@ func TestChaosOffIsFree(t *testing.T) {
 	if in.WakeDrop() || in.WakeDup() || in.NetDrop() || in.NetDup() || in.WorkerKill() {
 		t.Fatal("nil injector injected a fault")
 	}
-	if d := in.WakeDelay(); d != 0 {
+	if d := in.Stall(chaos.SiteWakeDelay); d != 0 {
 		t.Fatalf("nil injector delayed %v", d)
 	}
 	if _, _, ok := in.CQEForge(); ok {

@@ -63,9 +63,9 @@ type XskPump struct {
 
 	// waker is the lost-wakeup recovery ladder for the TX direction
 	// (xTX is edge-triggered: a swallowed sendto never re-fires on its
-	// own; the Monitor Module sweeps every few microseconds, so entries
-	// still pending at the ladder's first rung mean the wakeup was
-	// swallowed). Optional; set before Start.
+	// own; the Monitor Module sweeps as soon as a publish rings its bell,
+	// so entries still pending at the ladder's first rung mean the wakeup
+	// was swallowed). Optional; set before Start.
 	waker iouring.Waker
 
 	// tuning, when non-nil, couples the pump to the self-tuning runtime:

@@ -313,6 +313,50 @@ func TestIoUringFileIO(t *testing.T) {
 	}
 }
 
+// TestIoUringFileRoundTripAllocatesNothing pins the kernel worker's
+// steady state: a 4 KiB Pwrite and Pread, each from submit through
+// io_uring_enter and the worker's inline completion to Ring.Wait,
+// allocate nothing — no timer per wake, no goroutine per read, no clock
+// per SQE.
+func TestIoUringFileRoundTripAllocatesNothing(t *testing.T) {
+	w := newTestWorld(t)
+	w.kern.VFS().WriteFile("/data/blk", make([]byte, 8192))
+	var clk vtime.Clock
+	fd, err := w.sproc.Open("/data/blk", ORdwr, &clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup, err := w.sproc.IoUringSetup(8, &clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, err := iouring.Attach(iouring.Config{Space: w.kern.Space, Setup: setup, Entries: 8, Model: w.kern.Model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := w.kern.Space.Alloc(mem.Untrusted, 4096, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func(op iouring.Op) {
+		tok, err := fm.Submit(iouring.SQE{Op: op, FD: int32(fd), Off: 4096, Addr: buf, Len: 4096}, &clk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.sproc.IoUringEnter(setup.FD, &clk)
+		if res, err := fm.Wait(tok, &clk); err != nil || res != 4096 {
+			t.Fatalf("%v res = %d, %v", op, res, err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		roundTrip(iouring.OpWrite)
+		roundTrip(iouring.OpRead)
+	})
+	if allocs != 0 && !raceDetectorEnabled {
+		t.Fatalf("a Pwrite + Pread round trip allocates %v times, want 0", allocs)
+	}
+}
+
 func TestIoUringEnclaveBufferRejected(t *testing.T) {
 	// Appendix A attack, inverted: an SQE whose buffer points into
 	// enclave memory must never cross the trust boundary. The FM refuses

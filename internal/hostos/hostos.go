@@ -134,9 +134,9 @@ func wake[T any](p *Proc, clk *vtime.Clock, obj T, fire func(T, uint64) int) int
 	if inj.WakeDrop() {
 		return 0
 	}
-	if d := inj.WakeDelay(); d > 0 {
+	if d := inj.Stall(chaos.SiteWakeDelay); d > 0 {
 		go func() {
-			time.Sleep(d)
+			d.Sleep()
 			fire(obj, at)
 		}()
 		return 0

@@ -25,9 +25,13 @@ type uringKernel struct {
 	sub   *ring.Ring // kernel consumes
 	compl *ring.Ring // kernel produces
 
-	wake     chan struct{}
+	wake     *vtime.Bell // rung by io_uring_enter
 	done     chan struct{}
 	stopOnce sync.Once
+
+	// clk is the inline operations' clock, restarted for each SQE; owning
+	// it keeps the per-SQE clock off the heap.
+	clk vtime.Clock
 
 	complMu sync.Mutex // serializes CQE production from async op goroutines
 
@@ -47,9 +51,17 @@ func (p *Proc) IoUringSetup(entries uint32, clk *vtime.Clock) (iouring.Setup, er
 	if err != nil {
 		return iouring.Setup{}, err
 	}
+	// The periodic scan is a safety net against lost wakeups. Chaos
+	// profiles that inject wakeup loss disable it so the loss actually
+	// stalls and the enclave's recovery ladder — not this timer — must
+	// save the run.
+	scan := kernelScan
+	if k.Chaos.KernelScanDisabled() {
+		scan = 0
+	}
 	u := &uringKernel{
 		kern: k, proc: p,
-		wake:        make(chan struct{}, 1),
+		wake:        vtime.NewBell(scan),
 		done:        make(chan struct{}),
 		pollCancels: make(map[uint64]chan struct{}),
 	}
@@ -91,12 +103,10 @@ func (p *Proc) IoUringEnter(fd int, clk *vtime.Clock) error {
 }
 
 // kick delivers one (possibly coalesced) wakeup to the worker.
-func (u *uringKernel) kick() {
-	select {
-	case u.wake <- struct{}{}:
-	default:
-	}
-}
+func (u *uringKernel) kick() { u.wake.Ring() }
+
+// kernelScan is the worker's unkicked rescan period.
+const kernelScan = 5 * time.Millisecond
 
 func (u *uringKernel) stop() {
 	u.stopOnce.Do(func() { close(u.done) })
@@ -105,19 +115,12 @@ func (u *uringKernel) stop() {
 // worker drains the submission ring whenever kicked.
 func (u *uringKernel) worker() {
 	inj := u.kern.Chaos
-	// Periodic scan as a safety net against lost wakeups. Chaos profiles
-	// that inject wakeup loss disable it so the loss actually stalls and
-	// the enclave's recovery ladder — not this timer — must save the run.
-	scan := 5 * time.Millisecond
-	if inj.KernelScanDisabled() {
-		scan = time.Hour
-	}
 	for {
+		u.wake.Wait(u.done)
 		select {
 		case <-u.done:
 			return
-		case <-u.wake:
-		case <-time.After(scan):
+		default:
 		}
 		if inj.WorkerKill() {
 			// Fault site (c): the kernel routine dies. Outstanding and
@@ -125,9 +128,7 @@ func (u *uringKernel) worker() {
 			// surfaces ErrTimeout, never corruption.
 			return
 		}
-		if d := inj.WorkerStall(); d > 0 {
-			time.Sleep(d)
-		}
+		inj.Stall(chaos.SiteWorkerStall).Sleep()
 		// Republish both kernel-owned indices: a scribbled cell normally
 		// heals on the kernel's next Submit/Release, but an idle kernel
 		// makes no stores — republishing on every wakeup lets the
@@ -167,14 +168,17 @@ func (u *uringKernel) worker() {
 			m := u.kern.Model
 			start := u.sub.SlotStamp(0) + m.IoUringWakeLatency
 			u.sub.Release(1)
-			// Fast-path ops complete inline in the worker; anything that
-			// can block (reads, recvs, unready polls) gets a goroutine,
-			// as real io_uring punts blocking work to async context.
-			var clk vtime.Clock
+			// Ops that cannot block complete inline in the worker — file
+			// reads and writes among them, as a page-cache hit does in
+			// real io_uring; recvs, sends and unready polls get a
+			// goroutine, as real io_uring punts blocking work to async
+			// context.
+			clk := &u.clk
+			*clk = vtime.Clock{}
 			clk.SyncAdvance(start, m.IoUringDispatch)
 			switch sqe.Op {
-			case iouring.OpNop, iouring.OpPollRemove, iouring.OpFsync, iouring.OpWrite:
-				u.complete(sqe.UserData, u.hostileRes(sqe, u.execute(sqe, &clk)), clk.Now())
+			case iouring.OpNop, iouring.OpPollRemove, iouring.OpFsync, iouring.OpRead, iouring.OpWrite:
+				u.complete(sqe.UserData, u.hostileRes(sqe, u.execute(sqe, clk)), clk.Now())
 				continue
 			case iouring.OpPollAdd:
 				if re := u.kern.readiness(int(sqe.FD), sqe.OpFlags); re != 0 && re != sys.PollErr {

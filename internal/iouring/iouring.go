@@ -211,6 +211,11 @@ type Waker struct {
 	// Dead reports whether the MM has terminated, in which case the
 	// nudge rung is skipped entirely. May be nil.
 	Dead func() bool
+	// Bell rings the MM's doorbell after every iSub publish, so the
+	// monitor sweeps now rather than at its fallback period. Exit-free,
+	// and not a rung: the ladder recovers a ring the host ignores. May be
+	// nil.
+	Bell func()
 
 	ladder
 }
@@ -474,6 +479,9 @@ func (r *Ring) submit(es []SQE, tokens []uint64, clk *vtime.Clock) (int, error) 
 	}
 	clk.Charge(vtime.CompRing, r.model.RingOp)
 	r.Sub.Submit(uint32(n), clk.Now())
+	if r.waker.Bell != nil {
+		r.waker.Bell()
+	}
 	r.trace.Emit(telemetry.EvRingProduce, clk.Now(), telemetry.RingUringSub, uint64(n))
 	if r.counters != nil {
 		r.counters.IoUringOps.Add(uint64(n))

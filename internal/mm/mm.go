@@ -101,18 +101,26 @@ type Monitor struct {
 	// instead of scheduling another. Set it before Start.
 	Counters *vtime.Counters
 
+	// bell is what the thread parks on between sweeps that fire nothing
+	// (see Ring); sweeps counts loop passes, for tests.
+	bell   *vtime.Bell
+	sweeps atomic.Uint64
+
 	stop chan struct{}
 	done chan struct{}
 }
 
-// sweepInterval is the real-time poll period of the monitor loop.
-const sweepInterval = 5 * time.Microsecond
+// fallbackSweep bounds how long the parked monitor goes without a sweep:
+// it is how the thread notices state the host changes without ringing,
+// such as the kernel flagging fill need-wakeup after the last refill.
+const fallbackSweep = time.Millisecond
 
 // New creates a Monitor issuing syscalls through the given host process
 // (which runs outside the enclave: its syscalls are not exits).
 func New(proc *hostos.Proc) *Monitor {
 	m := &Monitor{
 		proc: proc,
+		bell: vtime.NewBell(fallbackSweep),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -171,6 +179,13 @@ func (m *Monitor) Start() {
 	go m.run()
 }
 
+// run sweeps until a sweep fires nothing, then parks on the bell. A
+// spinning MM would see a producer's store almost at once; the bell gives
+// the simulation that short detection delay without burning a core. A
+// fallback sweep fires what any sweep fires — producer edges new since
+// the last sweep, a pending Nudge, a set need-wakeup flag — so it cannot
+// re-issue an io_uring_enter or sendto the host swallowed: recovering
+// those stays the enclave's Waker ladder.
 func (m *Monitor) run() {
 	defer close(m.done)
 	for {
@@ -184,13 +199,19 @@ func (m *Monitor) run() {
 			// the enclave-side watchdog degrades to paid exits.
 			return
 		}
-		if d := m.Chaos.MMStall(); d > 0 {
-			time.Sleep(d)
+		m.Chaos.Stall(chaos.SiteMMStall).Sleep()
+		m.sweeps.Add(1)
+		if m.Sweep() == 0 {
+			m.bell.Wait(m.stop)
 		}
-		m.Sweep()
-		time.Sleep(sweepInterval)
 	}
 }
+
+// Ring asks the monitor thread to sweep now rather than at its next
+// fallback sweep; the enclave's producers ring it after each publish to
+// iSub, xFill and xTX. It never blocks and never allocates, so, like
+// the store a spinning MM would notice, it costs the enclave no exit.
+func (m *Monitor) Ring() { m.bell.Ring() }
 
 // Nudge requests one forced sweep: the next pass issues every watched
 // ring's wakeup syscall unconditionally. The enclave writes only this
@@ -205,6 +226,7 @@ func (m *Monitor) Nudge() {
 	if m.force.Swap(true) && m.Counters != nil {
 		m.Counters.WakeupsCoalesced.Add(1)
 	}
+	m.Ring()
 }
 
 // Dead reports whether the monitor thread has terminated (killed by
@@ -295,7 +317,12 @@ func (m *Monitor) Sweep() int {
 // switch never costs an enclave exit. Untrusted like everything else
 // here: a dead or stalled MM delays the switch, which costs cycles,
 // never safety.
-func (m *Monitor) RequestBusyPoll(on bool) { m.busyDesired.Store(on) }
+func (m *Monitor) RequestBusyPoll(on bool) {
+	// The tuner asks on every step; only a change needs a sweep.
+	if m.busyDesired.Swap(on) != on {
+		m.Ring()
+	}
+}
 
 // applyMode reconciles the applied wakeup mode with the requested one,
 // issuing one busy-poll toggle per distinct XSK fd.

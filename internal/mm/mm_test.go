@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rakis/internal/chaos"
 	"rakis/internal/hostos"
 	"rakis/internal/iouring"
 	"rakis/internal/mem"
@@ -140,6 +141,10 @@ func TestMonitorRunsAsThread(t *testing.T) {
 	defer mon.Close()
 
 	// Submit and rely on the background monitor alone for the wakeup.
+	// Nobody rings its bell, so the fallback sweep must catch the advance:
+	// one fallback period is the expected wait, and the bound leaves room
+	// for a loaded host.
+	start := time.Now()
 	tok, _ := fm.Submit(iouring.SQE{Op: iouring.OpNop}, &clk)
 	done := make(chan struct{})
 	go func() {
@@ -150,6 +155,153 @@ func TestMonitorRunsAsThread(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("monitor never woke the kernel")
+	}
+	if d := time.Since(start); d > 500*fallbackSweep {
+		t.Errorf("an unrung advance took %v, fallback is %v", d, fallbackSweep)
+	}
+}
+
+// watchedUring sets up one io_uring with the given waker and registers
+// it with mon; it returns the enclave's ring and the ring's fd.
+func (f *fixture) watchedUring(t *testing.T, mon *Monitor, ctrs *vtime.Counters, w iouring.Waker) (*iouring.Ring, int) {
+	t.Helper()
+	var clk vtime.Clock
+	setup, err := f.proc.IoUringSetup(8, &clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := iouring.Attach(iouring.Config{Space: f.kern.Space, Setup: setup, Entries: 8, Counters: ctrs, Waker: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mon.WatchUring(f.kern.Space, setup); err != nil {
+		t.Fatal(err)
+	}
+	return r, setup.FD
+}
+
+// eventually polls cond for up to five seconds and fails the test
+// naming what never happened.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(20 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened", what)
+		}
+	}
+}
+
+// parked starts mon and returns once it has swept at least once and had
+// time to park on its bell.
+func parked(t *testing.T, mon *Monitor) {
+	t.Helper()
+	mon.Start()
+	t.Cleanup(mon.Close)
+	eventually(t, "a first sweep", func() bool { return mon.sweeps.Load() > 0 })
+	time.Sleep(2 * time.Millisecond)
+}
+
+// TestRungAdvanceFiresAtOnce: a producer advance that rings the bell is
+// swept at once. The fallback is pushed out to an hour, so only the ring
+// can have woken the parked monitor.
+func TestRungAdvanceFiresAtOnce(t *testing.T) {
+	f := newFixture(t)
+	mon := New(f.proc)
+	mon.bell = vtime.NewBell(time.Hour)
+	r, fd := f.watchedUring(t, mon, nil, iouring.Waker{Bell: mon.Ring})
+	parked(t, mon)
+	var clk vtime.Clock
+	if _, err := r.Submit(iouring.SQE{Op: iouring.OpNop}, &clk); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "io_uring_enter after a rung advance", func() bool { return mon.Wakeups(fd) == 1 })
+}
+
+// TestIdleMonitorSweepsAtFallbackRate: parked with nothing to do, the
+// monitor sweeps once per fallback period at most — a timer never fires
+// early and each park starts a full period — where a 5 µs sleep loop
+// swept about 200k times a second.
+func TestIdleMonitorSweepsAtFallbackRate(t *testing.T) {
+	f := newFixture(t)
+	mon := New(f.proc)
+	f.watchedUring(t, mon, nil, iouring.Waker{})
+	parked(t, mon)
+	s0, t0 := mon.sweeps.Load(), time.Now()
+	time.Sleep(50 * time.Millisecond)
+	n, window := mon.sweeps.Load()-s0, time.Since(t0)
+	if limit := uint64(window/fallbackSweep) + 1; n > limit {
+		t.Fatalf("idle monitor swept %d times in %v, want at most %d", n, window, limit)
+	}
+}
+
+// TestCloseWhileParked: Close wakes a parked monitor at once, even with
+// no fallback due for an hour.
+func TestCloseWhileParked(t *testing.T) {
+	f := newFixture(t)
+	mon := New(f.proc)
+	mon.bell = vtime.NewBell(time.Hour)
+	f.watchedUring(t, mon, nil, iouring.Waker{})
+	parked(t, mon)
+	closed := make(chan struct{})
+	go func() {
+		mon.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return while the monitor was parked")
+	}
+	if !mon.Dead() {
+		t.Fatal("a closed monitor must report dead")
+	}
+}
+
+// TestFallbackNeverRefiresADroppedEnter: the host swallows the first
+// io_uring_enter. Fallback sweeps see no new edge and stay silent — a
+// fallback that re-fired would mask the loss — so the completion arrives
+// only once the enclave's Waker ladder nudges.
+func TestFallbackNeverRefiresADroppedEnter(t *testing.T) {
+	prof := chaos.Profile{Name: "drop-once", Prob: map[chaos.Site]float64{chaos.SiteWakeDrop: 0.5}, DisableKernelScan: true}
+	seed := uint64(1)
+	for ; ; seed++ {
+		// Only wake-drop is armed, so the injector's first two draws
+		// decide the first two wakeups: drop, then deliver.
+		probe := chaos.New(prof, seed, nil, nil)
+		if probe.WakeDrop() && !probe.WakeDrop() {
+			break
+		}
+	}
+	f := newFixture(t)
+	inj := chaos.New(prof, seed, f.kern.Space, nil)
+	f.kern.Chaos = inj
+	mon := New(f.proc)
+	ctrs := &vtime.Counters{}
+	r, fd := f.watchedUring(t, mon, ctrs, iouring.Waker{Nudge: mon.Nudge, Dead: mon.Dead, Bell: mon.Ring})
+	parked(t, mon)
+
+	var clk vtime.Clock
+	tok, err := r.Submit(iouring.SQE{Op: iouring.OpNop}, &clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the first io_uring_enter", func() bool { return mon.Wakeups(fd) == 1 })
+	s0 := mon.sweeps.Load()
+	eventually(t, "three fallback sweeps", func() bool { return mon.sweeps.Load() >= s0+3 })
+	if n := mon.Wakeups(fd); n != 1 {
+		t.Fatalf("fallback sweeps re-fired the dropped enter: %d wakeups", n)
+	}
+	if got := inj.Counts()["wake-drop"]; got != 1 {
+		t.Fatalf("wake-drop fired %d times, want 1", got)
+	}
+	if _, done, _ := r.TryWait(tok, &clk); done {
+		t.Fatal("completed although its only io_uring_enter was dropped")
+	}
+	if res, err := r.Wait(tok, &clk); err != nil || res != 0 {
+		t.Fatalf("nop result %d, %v", res, err)
+	}
+	if ctrs.WakeupRetries.Load() == 0 {
+		t.Fatal("completed without a Waker nudge")
 	}
 }
 

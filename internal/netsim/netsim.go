@@ -16,7 +16,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"rakis/internal/chaos"
 	"rakis/internal/telemetry"
@@ -195,10 +194,8 @@ func (d *Device) Start(h Handler) {
 func (d *Device) softirq(q *Queue) {
 	defer close(q.done)
 	for f := range q.ch {
-		if s := d.chaos.SoftirqStall(); s > 0 {
-			// Fault site (c): one receive worker frozen mid-stream.
-			time.Sleep(s)
-		}
+		// Fault site (c): one receive worker frozen mid-stream.
+		d.chaos.Stall(chaos.SiteSoftirqStall).Sleep()
 		q.clk.SyncAdvance(f.Stamp, d.model.NicPerFrame)
 		f.Stamp = q.clk.Now()
 		d.trace.Emit(telemetry.EvSoftirqFrame, q.clk.Now(), uint64(q.id), uint64(len(f.Data)))

@@ -8,10 +8,9 @@ import (
 // This file is the datapath's one reader of the wall clock. Waiting is
 // the only thing the simulation does in real time — every cost is
 // virtual — so every loop that tries, checks a deadline and parks runs
-// through Until, and every bounded retry sleeps through Backoff. Neither
-// charges a cycle: virtual charges stay with the caller. Swapping a
-// manual clock or an event wait into the datapath means replacing the
-// two bodies below (ROADMAP item 1).
+// through Until, every bounded retry sleeps through Backoff, and every
+// host thread that waits for work a producer announces parks on a Bell.
+// None of them charges a cycle: virtual charges stay with the caller.
 
 // Park is how a waiter spends the time between two tries: the first
 // Spins passes try again at once — after runtime.Gosched when Yield is
@@ -81,4 +80,52 @@ func (b *Backoff) rung() time.Duration {
 		b.next *= 2
 	}
 	return d
+}
+
+// Bell is the doorbell a producer rings after it publishes and one
+// waiter parks on. It holds one pending ring, so rings that land while
+// the waiter is busy fold into one wakeup, and a ring that lands between
+// the waiter's last look at its work and its park is not lost.
+type Bell struct {
+	c        chan struct{}
+	fallback time.Duration
+	timer    *time.Timer // nil when fallback is zero; reused by every Wait
+}
+
+// NewBell returns a bell whose Wait also returns once fallback has
+// passed without a ring; a zero fallback waits for a ring or stop only.
+func NewBell(fallback time.Duration) *Bell {
+	b := &Bell{c: make(chan struct{}, 1), fallback: fallback}
+	if fallback > 0 {
+		b.timer = time.NewTimer(fallback)
+		b.timer.Stop()
+	}
+	return b
+}
+
+// Ring wakes the waiter, or the next Wait when none is parked. It never
+// blocks and never allocates.
+func (b *Bell) Ring() {
+	select {
+	case b.c <- struct{}{}:
+	default:
+	}
+}
+
+// Wait parks until the bell rings, stop closes, or the fallback period
+// passes. One goroutine waits on a bell.
+func (b *Bell) Wait(stop <-chan struct{}) {
+	if b.timer == nil {
+		select {
+		case <-b.c:
+		case <-stop:
+		}
+		return
+	}
+	b.timer.Reset(b.fallback)
+	select {
+	case <-b.c:
+	case <-stop:
+	case <-b.timer.C:
+	}
 }

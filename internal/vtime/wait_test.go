@@ -39,6 +39,28 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
+// TestBell: a ring that lands before the wait is kept; rings fold into
+// one; an unrung wait lasts the fallback (a timer never fires early);
+// stop ends a wait that has no fallback; and a ring-and-wait cycle
+// allocates nothing.
+func TestBell(t *testing.T) {
+	b := NewBell(time.Millisecond)
+	b.Ring()
+	b.Ring()
+	b.Wait(nil) // the pending ring: returns at once
+	start := time.Now()
+	b.Wait(nil) // the second ring folded into the first: waits the fallback
+	if d := time.Since(start); d < time.Millisecond {
+		t.Fatalf("an unrung wait returned after %v, before its 1ms fallback", d)
+	}
+	stop := make(chan struct{})
+	close(stop)
+	NewBell(0).Wait(stop)
+	if n := testing.AllocsPerRun(100, func() { b.Ring(); b.Wait(nil) }); n != 0 {
+		t.Fatalf("ring and wait allocate %v times", n)
+	}
+}
+
 // TestUntil: the first try is handed zero and, when it succeeds, is the
 // only one; a zero timeout tries exactly once; a positive one gives up
 // after it; elapsed never runs backwards.

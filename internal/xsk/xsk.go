@@ -109,6 +109,10 @@ type Config struct {
 	// Trace, when non-nil, receives ring/copy/refusal events for this
 	// socket (shared by the pump thread and user send threads).
 	Trace *telemetry.Buf
+	// Bell, when non-nil, rings the Monitor Module's doorbell after every
+	// xFill and xTX publish, so the monitor sweeps now rather than at its
+	// fallback period. It must not block.
+	Bell func()
 }
 
 // Errors returned by Attach and socket operations.
@@ -142,6 +146,7 @@ type Socket struct {
 	model    *vtime.Model
 	counters *vtime.Counters
 	trace    *telemetry.Buf
+	bell     func()
 
 	// descRefusals counts RX descriptors this socket refused (failed
 	// slot snapshot or UMem validation) — the descriptor-level half of
@@ -190,7 +195,10 @@ func Attach(cfg Config) (*Socket, error) {
 			Certified: true, Counters: cfg.Counters,
 		})
 	}
-	s := &Socket{fd: cfg.Setup.FD, space: cfg.Space, model: cfg.Model, counters: cfg.Counters, trace: cfg.Trace}
+	s := &Socket{fd: cfg.Setup.FD, space: cfg.Space, model: cfg.Model, counters: cfg.Counters, trace: cfg.Trace, bell: cfg.Bell}
+	if s.bell == nil {
+		s.bell = func() {}
+	}
 	var err error
 	if s.Fill, err = mk(cfg.Setup.FillBase, FillEntryBytes, ring.Producer); err != nil {
 		return nil, err
@@ -275,6 +283,7 @@ func (s *Socket) refillLocked(clk *vtime.Clock) int {
 		clk.Charge(vtime.CompRing, s.model.RingOp)
 		clk.Charge(vtime.CompValidate, uint64(n)*s.model.UMemOp)
 		s.Fill.Submit(uint32(n), clk.Now())
+		s.bell()
 		s.trace.Emit(telemetry.EvRingProduce, clk.Now(), telemetry.RingXskFill, uint64(n))
 	}
 	return n
@@ -393,6 +402,7 @@ func (s *Socket) SpliceFrame(v *mem.View, n uint32, clk *vtime.Clock) error {
 	}
 	PutDesc(slot, Desc{Addr: v.Offset(), Len: n})
 	s.TX.Submit(1, clk.Now())
+	s.bell()
 	s.trace.Emit(telemetry.EvSpliceFrame, clk.Now(), v.Offset(), uint64(n))
 	s.trace.Emit(telemetry.EvRingProduce, clk.Now(), telemetry.RingXskTX, 1)
 	if s.counters != nil {
@@ -462,6 +472,7 @@ func (s *Socket) Publish(bufs []mem.TxBuf, clk *vtime.Clock) (int, error) {
 	clk.Charge(vtime.CompValidate, uint64(n)*s.model.UMemOp)
 	clk.Charge(vtime.CompCopy, vtime.Bytes(s.model.BoundaryCopyPerByte, totalBytes))
 	s.TX.Submit(uint32(n), clk.Now())
+	s.bell()
 	s.trace.Emit(telemetry.EvBoundaryCopy, clk.Now(), uint64(totalBytes), 0)
 	s.trace.Emit(telemetry.EvRingProduce, clk.Now(), telemetry.RingXskTX, uint64(n))
 	if s.counters != nil {

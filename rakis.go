@@ -226,6 +226,7 @@ func Boot(kern *hostos.Kernel, ns *hostos.NetNS, cfg Config) (*Runtime, error) {
 		}
 	}
 	var bootClk vtime.Clock
+	rt.mon = mm.New(rt.hostProc)
 
 	for i := 0; i < cfg.NumXSKs; i++ {
 		res, err := rt.hostProc.XSKSetup(ns, i, cfg.RingSize, cfg.FrameSize, cfg.FrameCount, &bootClk)
@@ -237,6 +238,7 @@ func Boot(kern *hostos.Kernel, ns *hostos.NetNS, cfg Config) (*Runtime, error) {
 			RingSize: cfg.RingSize, FrameSize: cfg.FrameSize, FrameCount: cfg.FrameCount,
 			Counters: cfg.Counters, Model: cfg.Model,
 			Trace: cfg.Telemetry.NewBuf(fmt.Sprintf("xsk%d", i)),
+			Bell:  rt.mon.Ring,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("rakis: XSK %d rejected: %w", i, err)
@@ -306,7 +308,6 @@ func Boot(kern *hostos.Kernel, ns *hostos.NetNS, cfg Config) (*Runtime, error) {
 	ns.AttachXDP(steeringProgram(cfg.IP))
 	installRSS(ns, cfg.IP, cfg.NumXSKs)
 
-	rt.mon = mm.New(rt.hostProc)
 	for _, sock := range rt.socks {
 		setup := xsk.Setup{
 			FD:       sock.FD(),
@@ -818,6 +819,7 @@ func (rt *Runtime) attachUring(clk *vtime.Clock) (*fm.UringFM, error) {
 				rt.hostProc.IoUringEnter(setup.FD, &kclk)
 				rt.fallbackExit(1)
 			},
+			Bell: rt.mon.Ring,
 		},
 	})
 	if err != nil {

@@ -161,18 +161,7 @@ func TestXSKTransmitPath(t *testing.T) {
 	}
 
 	payload := []byte("from the enclave via xsk")
-	udp := make([]byte, 8+len(payload))
-	udp[0], udp[1] = 0x23, 0x28 // src 9000
-	udp[2], udp[3] = 0x23, 0x29 // dst 9001
-	udp[4], udp[5] = byte(len(udp)>>8), byte(len(udp))
-	copy(udp[8:], payload)
-	ip := netstack.MarshalIPv4(netstack.IPv4Header{
-		TTL: 64, Proto: netstack.ProtoUDP,
-		Src: netstack.IP4{10, 0, 0, 3}, Dst: netstack.IP4{10, 0, 0, 1},
-	}, udp)
-	frame := netstack.MarshalEth(netstack.EthHeader{
-		Dst: w.client.Dev.MAC(), Src: w.server.Dev.MAC(), Type: netstack.EtherTypeIPv4,
-	}, ip)
+	frame := enclaveUDPFrame(w, payload)
 
 	var fmClk vtime.Clock
 	if n, err := sock.SendBatch([][]byte{frame}, &fmClk); err != nil || n != 1 {
@@ -201,6 +190,23 @@ func TestXSKTransmitPath(t *testing.T) {
 	if sock.UMem.FreeFrames() != int(sock.UMem.FrameCount()) {
 		t.Fatal("TX frame not recycled")
 	}
+}
+
+// enclaveUDPFrame builds the raw Ethernet frame an enclave would put on
+// xTX: a UDP datagram from port 9000 to the client's port 9001.
+func enclaveUDPFrame(w *testWorld, payload []byte) []byte {
+	udp := make([]byte, 8+len(payload))
+	udp[0], udp[1] = 0x23, 0x28 // src 9000
+	udp[2], udp[3] = 0x23, 0x29 // dst 9001
+	udp[4], udp[5] = byte(len(udp)>>8), byte(len(udp))
+	copy(udp[8:], payload)
+	ip := netstack.MarshalIPv4(netstack.IPv4Header{
+		TTL: 64, Proto: netstack.ProtoUDP,
+		Src: netstack.IP4{10, 0, 0, 3}, Dst: netstack.IP4{10, 0, 0, 1},
+	}, udp)
+	return netstack.MarshalEth(netstack.EthHeader{
+		Dst: w.client.Dev.MAC(), Src: w.server.Dev.MAC(), Type: netstack.EtherTypeIPv4,
+	}, ip)
 }
 
 func TestXSKHostileKernelScribbles(t *testing.T) {
@@ -310,6 +316,74 @@ func TestIoUringFileIO(t *testing.T) {
 	}
 	if fm.Outstanding() != 0 {
 		t.Fatal("no requests should remain outstanding")
+	}
+}
+
+// TestXSKWakeLatencyChargedOnWakeOnly pins the XSK twin of the io_uring
+// wake-latency check above: a frame the Monitor Module's sendto wakes is
+// transmitted and completed no earlier than its publish stamp plus
+// Model.XskWakeLatency, while the busy-poll worker, which books the gap
+// as spin itself and wakes nothing, drains the same frame without it.
+func TestXSKWakeLatencyChargedOnWakeOnly(t *testing.T) {
+	w := newTestWorld(t)
+	sock := attachXSK(t, w, nil)
+	x, err := lookupAs[*xskKernel](w.kern, sock.FD(), ErrNotSocket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cclk vtime.Clock
+	cfd, _ := w.cproc.Socket(SockUDP, &cclk)
+	if err := w.cproc.Bind(cfd, 9001, &cclk); err != nil {
+		t.Fatal(err)
+	}
+	m := w.kern.Model
+	payload := []byte("wake lag")
+	frame := enclaveUDPFrame(w, payload)
+	buf := make([]byte, 64)
+
+	// drain publishes the frame well after both kernel-side clocks,
+	// drives it, and returns its publish stamp and completion stamp.
+	var fmClk vtime.Clock
+	drain := func(run func()) (published, completed uint64) {
+		t.Helper()
+		fmClk.Advance(100_000)
+		if n, err := sock.SendBatch([][]byte{frame}, &fmClk); err != nil || n != 1 {
+			t.Fatalf("sent %d, %v", n, err)
+		}
+		published = x.tx.SlotStamp(0)
+		run()
+		if avail, _ := sock.Compl.Available(); avail != 1 {
+			t.Fatalf("%d completions, want 1", avail)
+		}
+		completed = sock.Compl.SlotStamp(0)
+		if reaped := sock.Reap(&fmClk); reaped != 1 {
+			t.Fatalf("reaped %d completions, want 1", reaped)
+		}
+		if rn, _, err := w.cproc.RecvFrom(cfd, buf, &cclk, true); err != nil || !bytes.Equal(buf[:rn], payload) {
+			t.Fatalf("client got %q, %v", buf[:rn], err)
+		}
+		return published, completed
+	}
+
+	// The MM's doorbell, rung at a virtual time before the publish.
+	var mmClk vtime.Clock
+	s, woken := drain(func() {
+		if n, err := w.sproc.XSKSendto(sock.FD(), &mmClk); err != nil || n != 1 {
+			t.Fatalf("sendto processed %d, %v", n, err)
+		}
+	})
+	if woken < s+m.XskWakeLatency {
+		t.Fatalf("woken drain completed at %d, before publish %d + wake latency %d", woken, s, m.XskWakeLatency)
+	}
+	if cclk.Now() < s+m.XskWakeLatency {
+		t.Fatalf("frame arrived at %d, before publish %d + wake latency %d", cclk.Now(), s, m.XskWakeLatency)
+	}
+
+	// One busy-poll pass: the same frame, the same drain work, no lag.
+	s2, polled := drain(x.pollPass)
+	if got, want := polled-s2, woken-s-m.XskWakeLatency; got != want {
+		t.Fatalf("busy-poll drain took %d cycles after publish, want %d (the woken drain's %d less the wake latency)",
+			got, want, woken-s)
 	}
 }
 

@@ -214,8 +214,12 @@ func (x *xskKernel) deliver(frame []byte, clk *vtime.Clock) {
 }
 
 // processTX consumes xTX, transmits the frames, and produces completions.
-// It runs in syscall context — the sendto wakeup from the Monitor Module.
-func (x *xskKernel) processTX(clk *vtime.Clock) int {
+// It runs in syscall context — the sendto wakeup from the Monitor Module
+// — or in the busy-poll worker. lag is the virtual time between a
+// frame's publish and the drain picking it up: Model.XskWakeLatency for
+// a woken drain, 0 for the busy-poll worker, which books that gap as
+// spin itself.
+func (x *xskKernel) processTX(clk *vtime.Clock, lag uint64) int {
 	x.txMu.Lock()
 	defer x.txMu.Unlock()
 	// Republish the kernel-owned indices so a scribbled cell heals even
@@ -232,7 +236,7 @@ func (x *xskKernel) processTX(clk *vtime.Clock) int {
 		if avail == 0 {
 			break
 		}
-		clk.Sync(x.tx.SlotStamp(0))
+		clk.Sync(x.tx.SlotStamp(0) + lag)
 		// Freeze the descriptor before the bounds check: umemOK and the
 		// copy below must agree on (Addr, Len) even if the producer
 		// rewrites the live slot mid-drain.
@@ -281,12 +285,14 @@ func (p *Proc) XSKSendto(fd int, clk *vtime.Clock) (int, error) {
 // sendto drains xTX for a doorbell rung at virtual time at. The doorbell
 // itself is paid by the caller (p.enter, on its clock); the frame drain
 // runs in the queue's driver context, which cannot start before the
-// doorbell rang, so its clock first catches up to the caller.
+// doorbell rang, so its clock first catches up to the caller. Each frame
+// then waits Model.XskWakeLatency after its publish for the woken drain
+// to reach it, as an SQE waits IoUringWakeLatency for the io_uring worker.
 func (x *xskKernel) sendto(at uint64) int {
 	x.txMu.Lock()
 	x.txClk.Sync(at)
 	x.txMu.Unlock()
-	return x.processTX(&x.txClk)
+	return x.processTX(&x.txClk, x.ns.kern.Model.XskWakeLatency)
 }
 
 // XSKTxClock exposes the queue's driver TX context clock so telemetry
@@ -403,6 +409,6 @@ func (x *xskKernel) pollPass() {
 		}
 	}
 	x.txMu.Unlock()
-	x.processTX(clk)
+	x.processTX(clk, 0)
 	x.resumeRX()
 }

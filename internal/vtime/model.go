@@ -89,8 +89,13 @@ type Model struct {
 	// asynchronous-wait overhead §6.2 attributes RAKIS's fstime gap to.
 	IoUringWakeLatency uint64
 
-	// XskWakeLatency is the equivalent lag for xFill/xTX wakeups issued
-	// by the Monitor Module when the kernel side went idle.
+	// XskWakeLatency is the equivalent lag for an xTX drain started by
+	// the Monitor Module's sendto wakeup: each woken frame is transmitted
+	// no earlier than its publish stamp plus this lag. The busy-poll
+	// worker wakes nothing and books the gap as spin, so it does not pay
+	// it. The recvfrom (xFill) wakeup pays none either: it only clears
+	// need-wakeup, and frames that arrived while the flag was set were
+	// dropped (§4.1 QoS), so no stamped frame waits on it.
 	XskWakeLatency uint64
 
 	// RingOp is the RAKIS certified-ring cost of one produce or consume
